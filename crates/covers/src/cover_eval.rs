@@ -6,17 +6,27 @@
 //! 1. build an (R, 2R)-neighbourhood cover `X` of `A`;
 //! 2. for every cluster `X`, restrict to `B_X = A[X]` — for the elements
 //!    `a` with `X(a) = X` (the paper's `Q` marker) the value `u^{B_X}[a]`
-//!    equals `u^A[a]`, because `N_R(a) ⊆ X`;
+//!    equals `u^A[a]`, because `N_R(a) ⊆ X`. Only those values are
+//!    computed: every call carries a *demand* (sorted element ids of the
+//!    structure at hand, `None` = all), and cluster `X` is evaluated at
+//!    `Q ∩ demand` renumbered into `B_X`; clusters where that is empty
+//!    are skipped. `B_X` is built from the rows starting inside `X`, in
+//!    time proportional to the cluster;
 //! 3. inside a cluster, pick Splitter's vertex `d` (hub heuristic),
 //!    perform the removal surgery `B' = B_X *_r d` and rewrite the
 //!    counting term via the Removal Lemma (Lemma 7.9); the rewritten
 //!    counting components are decomposed again (Lemma 6.4 over the σ̃
 //!    signature) and evaluated on the smaller, flatter `B'` — recursing
-//!    until the depth budget is exhausted;
-//! 4. at the bottom, values are computed by ball enumeration
-//!    ([`foc_locality::LocalEvaluator`]); if a rewritten body leaves the
-//!    separable fragment, the reference evaluator provides a correct
-//!    (slower) fallback.
+//!    until the depth budget is exhausted. The ground components for `d`
+//!    itself run only if `d` is demanded; the unary components run at
+//!    the demand minus `d`, renumbered into `B'`. Ground basics and
+//!    ground components are sums over every element, so they always run
+//!    with no demand;
+//! 4. at the bottom, values are computed by ball enumeration for the
+//!    demanded elements only ([`LocalEvaluator::eval_basic_for`]); if a
+//!    rewritten body leaves the separable fragment, the reference
+//!    evaluator provides a correct (slower) fallback, also only at the
+//!    demanded elements.
 //!
 //! The recursion terminates because the splitter game on a nowhere dense
 //! class is won in λ(2R) rounds — empirically measured in experiment E9.
@@ -34,6 +44,13 @@
 //! counters are atomics, the removal-plan cache and the optional
 //! [`TermCache`] (content-keyed memo of basic-term values, shared with
 //! the engine session and across the recursion) sit behind locks.
+//!
+//! Memo keys are (term, structure fingerprint, order) for full vectors,
+//! plus a hash of the sorted local demand for demanded ones. A full
+//! vector answers any demand; a demanded entry answers only its own
+//! demand. Clusters that are equal up to renumbering, and demanded at
+//! the same local positions (interior clusters of a grid), share one
+//! entry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -306,7 +323,7 @@ impl<'a> CoverEvaluator<'a> {
                         return Ok(ClValue::Vector(vs.clone()));
                     }
                     let vals =
-                        self.eval_basic_all(b, self.a, self.config.depth, parent.as_ref())?;
+                        self.eval_basic_all(b, self.a, self.config.depth, None, parent.as_ref())?;
                     unary_cache.insert(key, vals.clone());
                     Ok(ClValue::Vector(vals))
                 } else {
@@ -315,7 +332,7 @@ impl<'a> CoverEvaluator<'a> {
                     }
                     // Ground basics: sum the unary view (Remark 6.3).
                     let vals =
-                        self.eval_basic_all(b, self.a, self.config.depth, parent.as_ref())?;
+                        self.eval_basic_all(b, self.a, self.config.depth, None, parent.as_ref())?;
                     let mut acc = 0i64;
                     for v in vals {
                         acc = acc.checked_add(v).ok_or(foc_locality::LocalityError::Eval(
@@ -369,24 +386,30 @@ impl<'a> CoverEvaluator<'a> {
         lev
     }
 
-    /// `u^S[a]` for all `a ∈ S`, by cover + removal (recursing on
-    /// `depth`).
+    /// `u^S[a]` for the demanded `a ∈ S` (sorted, unique; `None` means
+    /// every element), by cover + removal (recursing on `depth`). The
+    /// result has one slot per element of `S`; slots outside the demand
+    /// carry no meaning (a memoised full vector may fill them).
     fn eval_basic_all(
         &self,
         b: &Arc<BasicClTerm>,
         s: &Structure,
         depth: u32,
+        demand: Option<&[u32]>,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
         self.guard.check(Phase::Cover)?;
+        if demand.is_some_and(|d| d.is_empty()) {
+            return Ok(vec![0; s.order() as usize]);
+        }
         if let Some(cache) = &self.cache {
-            if let Some(vals) = cache.get(b, s) {
-                return Ok(vals.as_ref().clone());
+            if let Some(vals) = cache.get(b, s, demand) {
+                return Ok(vals);
             }
         }
-        let vals = self.eval_basic_all_uncached(b, s, depth, parent)?;
+        let vals = self.eval_basic_all_uncached(b, s, depth, demand, parent)?;
         if let Some(cache) = &self.cache {
-            cache.insert(b, s, Arc::new(vals.clone()));
+            cache.insert(b, s, demand, vals.clone());
         }
         Ok(vals)
     }
@@ -396,6 +419,7 @@ impl<'a> CoverEvaluator<'a> {
         b: &Arc<BasicClTerm>,
         s: &Structure,
         depth: u32,
+        demand: Option<&[u32]>,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
         // Parallelise only at the outermost structure: recursive calls on
@@ -412,7 +436,7 @@ impl<'a> CoverEvaluator<'a> {
             self.stats.max_cluster(s.order());
             let mut lev = self.local_for(s, parent);
             lev.threads = threads;
-            return lev.eval_basic_all(b);
+            return lev.eval_basic_for(b, demand);
         }
         let cover_span = parent.map(|p| {
             p.child(
@@ -449,13 +473,26 @@ impl<'a> CoverEvaluator<'a> {
         if let Some(sp) = &cover_span {
             sp.record("clusters", cover.clusters.len() as i64);
         }
-        let members = cover.members();
+        // The paper's `Q` marker, cut down to the demand: cluster `X`
+        // answers for the demanded elements assigned to it, and nothing
+        // else. Clusters left with no such element are skipped.
+        let assigned = match demand {
+            None => cover.members(),
+            Some(d) => {
+                let mut out = vec![Vec::new(); cover.clusters.len()];
+                for &a in d {
+                    out[cover.assign[a as usize] as usize].push(a);
+                }
+                out
+            }
+        };
 
         // One work item per assigned cluster; each yields (element, value)
         // pairs for its own elements only, so writing them back in any
         // order reproduces the sequential result exactly.
         let eval_one = |idx: usize| -> Result<Vec<(u32, i64)>> {
-            let pairs = self.eval_one_cluster(b, s, depth, &cover, &members, &cover_handle, idx)?;
+            let pairs =
+                self.eval_one_cluster(b, s, depth, &cover, &assigned, &cover_handle, idx)?;
             if top {
                 // Completed one top-level cluster (recursion included):
                 // one unit of anytime progress.
@@ -485,8 +522,9 @@ impl<'a> CoverEvaluator<'a> {
         } else {
             // Compute the removal plan up front so workers find it in the
             // cache instead of racing to build it.
-            if cover.clusters.iter().any(|c| {
-                c.len() > self.config.direct_threshold as usize
+            if cover.clusters.iter().zip(&assigned).any(|(c, q)| {
+                !q.is_empty()
+                    && c.len() > self.config.direct_threshold as usize
                     && c.len() <= self.config.max_removal_cluster as usize
                     && c.len() < s.order() as usize
             }) {
@@ -521,8 +559,8 @@ impl<'a> CoverEvaluator<'a> {
     }
 
     /// One cluster of the per-cluster loop: evaluate the basic cl-term
-    /// for the elements assigned to cluster `idx`, recursing through the
-    /// removal machinery on the induced substructure.
+    /// for the (demanded) elements assigned to cluster `idx`, recursing
+    /// through the removal machinery on the induced substructure.
     #[allow(clippy::too_many_arguments)]
     fn eval_one_cluster(
         &self,
@@ -530,13 +568,13 @@ impl<'a> CoverEvaluator<'a> {
         s: &Structure,
         depth: u32,
         cover: &NeighborhoodCover,
-        members: &[Vec<u32>],
+        assigned: &[Vec<u32>],
         cover_handle: &Option<SpanHandle>,
         idx: usize,
     ) -> Result<Vec<(u32, i64)>> {
         self.guard.check(Phase::Cover)?;
         let cluster = &cover.clusters[idx];
-        let q = &members[idx];
+        let q = &assigned[idx];
         if q.is_empty() {
             return Ok(Vec::new());
         }
@@ -558,15 +596,23 @@ impl<'a> CoverEvaluator<'a> {
             // the removal recursion cannot win — evaluate the
             // assigned elements by ball enumeration instead.
             let mut lev = self.local_for(s, cluster_handle.as_ref());
-            let mut pairs = Vec::with_capacity(q.len());
-            for &a in q {
-                pairs.push((a, lev.eval_basic_at(b, a)?));
-            }
-            return Ok(pairs);
+            let vals = lev.eval_basic_for(b, Some(q))?;
+            return Ok(q.iter().map(|&a| (a, vals[a as usize])).collect());
         }
         let ind = s.induced(cluster);
-        let vals = self.eval_cluster(b, &ind.structure, depth, cluster_handle.as_ref())?;
-        Ok(q.iter().map(|&a| (a, vals[ind.fwd[&a] as usize])).collect())
+        // The renumbering is monotone, so the local demand stays sorted.
+        let local_q: Vec<u32> = q.iter().map(|a| ind.fwd[a]).collect();
+        let vals = self.eval_cluster(
+            b,
+            &ind.structure,
+            depth,
+            Some(&local_q),
+            cluster_handle.as_ref(),
+        )?;
+        Ok(q.iter()
+            .zip(&local_q)
+            .map(|(&a, &la)| (a, vals[la as usize]))
+            .collect())
     }
 
     /// The removal plan for a basic cl-term (computed once, cached by
@@ -632,12 +678,14 @@ impl<'a> CoverEvaluator<'a> {
         plan
     }
 
-    /// Evaluates `u` on one cluster via splitter-removal recursion.
+    /// Evaluates `u` on one cluster via splitter-removal recursion, at
+    /// the demanded elements (`None`: all of them).
     fn eval_cluster(
         &self,
         b: &Arc<BasicClTerm>,
         cluster: &Structure,
         depth: u32,
+        demand: Option<&[u32]>,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
         self.guard.check(Phase::Cover)?;
@@ -646,7 +694,7 @@ impl<'a> CoverEvaluator<'a> {
             || cluster.order() > self.config.max_removal_cluster
         {
             let mut lev = self.local_for(cluster, parent);
-            return lev.eval_basic_all(b);
+            return lev.eval_basic_for(b, demand);
         }
         let plan = self.removal_plan(b);
         // Splitter's move: delete the hub of the cluster (clusters with an
@@ -672,9 +720,11 @@ impl<'a> CoverEvaluator<'a> {
         let bprime = &rem.structure;
         let mut out = vec![0i64; cluster.order() as usize];
 
-        // a = d: sum of ground components on B′.
+        // a = d: sum of ground components on B′ — only if d is demanded.
+        let wants_d = demand.is_none_or(|dm| dm.binary_search(&d).is_ok());
+        let when_d: &[_] = if wants_d { &plan.when_d } else { &[] };
         let mut at_d = 0i64;
-        for (rc, cl) in &plan.when_d {
+        for (rc, cl) in when_d {
             let v = if rc.counted.is_empty() {
                 let mut ev = NaiveEvaluator::new(bprime, self.preds);
                 ev.set_guard(self.guard.clone());
@@ -686,7 +736,8 @@ impl<'a> CoverEvaluator<'a> {
                     Err(_) => 0,
                 }
             } else {
-                let vals = self.eval_component(bprime, cl.as_ref(), None, rc, depth - 1, parent)?;
+                let vals =
+                    self.eval_component(bprime, cl.as_ref(), None, rc, depth - 1, None, parent)?;
                 let mut acc = 0i64;
                 for v in vals {
                     acc = acc.checked_add(v).ok_or(foc_locality::LocalityError::Eval(
@@ -703,11 +754,24 @@ impl<'a> CoverEvaluator<'a> {
         }
         out[d as usize] = at_d;
 
-        // a ≠ d: sum of unary components on B′.
+        // a ≠ d: sum of unary components on B′, at the demand minus d,
+        // renumbered into B′ (removal shifts the ids above d down by one).
+        let rest: Option<Vec<u32>> = demand.map(|dm| {
+            dm.iter()
+                .filter(|&&e| e != d)
+                .map(|&e| if e > d { e - 1 } else { e })
+                .collect()
+        });
+        let rest = rest.as_deref();
+        if rest.is_some_and(|r| r.is_empty()) {
+            return Ok(out);
+        }
         for (rc, cl) in &plan.when_not_d {
-            let vals = self.eval_component(bprime, cl.as_ref(), Some(x), rc, depth - 1, parent)?;
-            for (new, &old) in rem.old_of_new.iter().enumerate() {
-                out[old as usize] = out[old as usize].checked_add(vals[new]).ok_or(
+            let vals =
+                self.eval_component(bprime, cl.as_ref(), Some(x), rc, depth - 1, rest, parent)?;
+            for new in demanded(bprime, rest) {
+                let old = rem.old_of_new[new as usize] as usize;
+                out[old] = out[old].checked_add(vals[new as usize]).ok_or(
                     foc_locality::LocalityError::Eval(foc_eval::EvalError::Overflow),
                 )?;
             }
@@ -715,10 +779,12 @@ impl<'a> CoverEvaluator<'a> {
         Ok(out)
     }
 
-    /// Evaluates one rewritten counting component on `s`: decomposed
-    /// per-element when a cl-term is available, by reference evaluation
-    /// otherwise. For ground components (`free = None`) the vector is
-    /// indexed by the first counted variable and summed by the caller.
+    /// Evaluates one rewritten counting component on `s` at the demanded
+    /// elements: decomposed per-element when a cl-term is available, by
+    /// reference evaluation otherwise. For ground components
+    /// (`free = None`, always with no demand) the vector is indexed by
+    /// the first counted variable and summed by the caller.
+    #[allow(clippy::too_many_arguments)]
     fn eval_component(
         &self,
         s: &Structure,
@@ -726,18 +792,23 @@ impl<'a> CoverEvaluator<'a> {
         free: Option<Var>,
         rc: &RemovedCount,
         depth: u32,
+        demand: Option<&[u32]>,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
+        debug_assert!(
+            free.is_some() || demand.is_none(),
+            "ground sums need every element"
+        );
         match (cl, free) {
-            (Some(cl), _) => self.eval_clterm_vector(cl, s, depth, parent),
+            (Some(cl), _) => self.eval_clterm_vector(cl, s, depth, demand, parent),
             (None, Some(x)) if rc.counted.is_empty() => {
                 // Width-1: check the body per element.
                 let mut ev = NaiveEvaluator::new(s, self.preds);
                 ev.set_guard(self.guard.clone());
-                let mut out = Vec::with_capacity(s.order() as usize);
-                for a in s.universe() {
+                let mut out = vec![0i64; s.order() as usize];
+                for a in demanded(s, demand) {
                     let mut env = Assignment::from_pairs([(x, a)]);
-                    out.push(i64::from(ev.check(&rc.body, &mut env)?));
+                    out[a as usize] = i64::from(ev.check(&rc.body, &mut env)?);
                 }
                 Ok(out)
             }
@@ -753,10 +824,10 @@ impl<'a> CoverEvaluator<'a> {
                         ));
                         let mut ev = NaiveEvaluator::new(s, self.preds);
                         ev.set_guard(self.guard.clone());
-                        let mut out = Vec::with_capacity(s.order() as usize);
-                        for a in s.universe() {
+                        let mut out = vec![0i64; s.order() as usize];
+                        for a in demanded(s, demand) {
                             let mut env = Assignment::from_pairs([(x, a)]);
-                            out.push(ev.eval_term(&term, &mut env)?);
+                            out[a as usize] = ev.eval_term(&term, &mut env)?;
                         }
                         Ok(out)
                     }
@@ -779,13 +850,16 @@ impl<'a> CoverEvaluator<'a> {
         }
     }
 
-    /// Evaluates a decomposed cl-term to a per-element vector on `s`,
-    /// recursing through the cover machinery for its basics.
+    /// Evaluates a decomposed cl-term to a per-element vector on `s` at
+    /// the demanded elements, recursing through the cover machinery for
+    /// its basics. Unary basics inherit the demand; ground basics are
+    /// sums over every element, so they are evaluated in full.
     fn eval_clterm_vector(
         &self,
         cl: &ClTerm,
         s: &Structure,
         depth: u32,
+        demand: Option<&[u32]>,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
         let mut unary_vals: FxHashMap<usize, Vec<i64>> = FxHashMap::default();
@@ -794,11 +868,11 @@ impl<'a> CoverEvaluator<'a> {
             let key = Arc::as_ptr(&basic) as usize;
             if basic.unary {
                 if let std::collections::hash_map::Entry::Vacant(e) = unary_vals.entry(key) {
-                    let vals = self.eval_basic_all(&basic, s, depth, parent)?;
+                    let vals = self.eval_basic_all(&basic, s, depth, demand, parent)?;
                     e.insert(vals);
                 }
             } else if let std::collections::hash_map::Entry::Vacant(e) = ground_vals.entry(key) {
-                let vals = self.eval_basic_all(&basic, s, depth, parent)?;
+                let vals = self.eval_basic_all(&basic, s, depth, None, parent)?;
                 let mut acc = 0i64;
                 for v in vals {
                     acc = acc.checked_add(v).ok_or(foc_locality::LocalityError::Eval(
@@ -808,9 +882,9 @@ impl<'a> CoverEvaluator<'a> {
                 e.insert(acc);
             }
         }
-        let mut out = Vec::with_capacity(s.order() as usize);
-        for a in s.universe() {
-            let val = cl.eval_with(&mut |basic| {
+        let mut out = vec![0i64; s.order() as usize];
+        for a in demanded(s, demand) {
+            out[a as usize] = cl.eval_with(&mut |basic| {
                 let key = Arc::as_ptr(basic) as usize;
                 if basic.unary {
                     Ok(unary_vals[&key][a as usize])
@@ -818,10 +892,14 @@ impl<'a> CoverEvaluator<'a> {
                     Ok(ground_vals[&key])
                 }
             })?;
-            out.push(val);
         }
         Ok(out)
     }
+}
+
+/// The demanded elements of `s` in increasing order (`None`: all).
+fn demanded(s: &Structure, demand: Option<&[u32]>) -> Vec<u32> {
+    demand.map_or_else(|| s.universe().collect(), <[u32]>::to_vec)
 }
 
 /// The largest distance bound occurring in a formula (for sizing the
@@ -993,6 +1071,154 @@ mod tests {
         let second = cev2.eval_clterm(&cl).unwrap();
         assert_eq!(second, want);
         assert!(cache.hits() > hits_before, "second run must hit the cache");
+    }
+
+    /// A random graph of order 6..22 with an explicit demand mask.
+    fn arb_case() -> impl proptest::prelude::Strategy<Value = (Structure, Vec<u32>, usize)> {
+        use proptest::prelude::Strategy;
+        (
+            6u32..22,
+            proptest::collection::vec((0u32..22, 0u32..22), 4..40),
+            proptest::collection::vec(0u32..3, 22..23),
+            0usize..4,
+        )
+            .prop_map(|(n, edges, mask, ti)| {
+                let edges: Vec<(u32, u32)> =
+                    edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
+                let demand = (0..n).filter(|&a| mask[a as usize] == 0).collect();
+                (graph_structure(n, &edges), demand, ti)
+            })
+    }
+
+    fn demand_terms() -> Vec<ClTerm> {
+        let y1 = v("y1");
+        let y2 = v("y2");
+        let z = v("z");
+        vec![
+            decompose_unary(&atom("E", [y1, y2]), &[y1, y2]).unwrap(),
+            decompose_unary(&and(dist_le(y1, y2, 2), not(eq(y1, y2))), &[y1, y2]).unwrap(),
+            decompose_unary(
+                &and(
+                    atom("E", [y1, y2]),
+                    exists(z, and(atom("E", [y2, z]), not(eq(z, y1)))),
+                ),
+                &[y1, y2],
+            )
+            .unwrap(),
+            decompose_ground(&not(atom("E", [y1, y2])), &[y1, y2]).unwrap(),
+        ]
+    }
+
+    /// Demanded slots of a cover evaluation equal the local engine's
+    /// values, both through the cover (`eval_basic_all`) and through one
+    /// removal step on the whole structure (`eval_cluster`, whose hub is
+    /// the max-degree element), at threads {1, 2, 8} and depth {1, 2},
+    /// with and without a memo shared across the runs (and across the
+    /// demands the caller tries, so entries for one demand must never
+    /// answer another).
+    fn check_demand(
+        s: &Structure,
+        cl: &ClTerm,
+        demand: &[u32],
+        max_removal_cluster: u32,
+        cache: &Arc<TermCache>,
+    ) {
+        let p = Predicates::standard();
+        for b in cl.basics() {
+            let want = LocalEvaluator::new(s, &p).eval_basic_all(&b).unwrap();
+            for threads in [1usize, 2, 8] {
+                for depth in [1u32, 2] {
+                    for memo in [false, true] {
+                        let mut cev = CoverEvaluator::new(s, &p);
+                        cev.config = CoverConfig {
+                            depth,
+                            direct_threshold: 2,
+                            max_removal_cluster,
+                            threads,
+                        };
+                        if memo {
+                            cev.set_cache(cache.clone());
+                        }
+                        let via_cover = cev
+                            .eval_basic_all(&b, s, depth, Some(demand), None)
+                            .unwrap();
+                        let via_removal =
+                            cev.eval_cluster(&b, s, depth, Some(demand), None).unwrap();
+                        for &a in demand {
+                            let a = a as usize;
+                            assert_eq!(
+                                (via_cover[a], via_removal[a]),
+                                (want[a], want[a]),
+                                "element {a} of demand {demand:?} on order {} \
+                                 (threads {threads}, depth {depth}, memo {memo}, body {})",
+                                s.order(),
+                                b.body
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn hub(s: &Structure) -> u32 {
+        let g = s.gaifman();
+        (0..g.n()).max_by_key(|&v| g.degree(v)).unwrap_or(0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24, ..proptest::prelude::ProptestConfig::default() })]
+
+        #[test]
+        fn demanded_cover_values_match_local(case in arb_case()) {
+            let (s, demand, ti) = case;
+            let cl = &demand_terms()[ti];
+            let d = hub(&s);
+            let with_hub: Vec<u32> = {
+                let mut w = demand.clone();
+                if let Err(i) = w.binary_search(&d) {
+                    w.insert(i, d);
+                }
+                w
+            };
+            let without_hub: Vec<u32> = demand.iter().copied().filter(|&a| a != d).collect();
+            let all: Vec<u32> = s.universe().collect();
+            // Equal length and first element, different sets; the full
+            // demand comes last, since its vector then serves every demand.
+            let (pair_a, pair_b) = (vec![0, 1], vec![0, 2]);
+            let cache = Arc::new(TermCache::default());
+            for dm in [&pair_a, &pair_b, &demand, &with_hub, &without_hub, &Vec::new(), &all] {
+                // 256 keeps every cluster in the recursion; 4 sends the
+                // larger clusters straight to ball enumeration.
+                for max_removal_cluster in [256, 4] {
+                    check_demand(&s, cl, dm, max_removal_cluster, &cache);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn demand_skips_work_outside_it() {
+        // One demanded element: far fewer balls than the full vector.
+        let y1 = v("y1");
+        let y2 = v("y2");
+        let cl = decompose_unary(&and(dist_le(y1, y2, 2), not(eq(y1, y2))), &[y1, y2]).unwrap();
+        let b = cl.basics().into_iter().next().unwrap();
+        let s = grid(12, 12);
+        let p = Predicates::standard();
+        let balls = |demand: Option<&[u32]>| {
+            let root = foc_obs::Observer::disabled();
+            let cev = CoverEvaluator::new(&s, &p);
+            let parent = root.handle();
+            cev.eval_basic_all(&b, &s, 1, demand, Some(&parent))
+                .unwrap();
+            root.metrics().snapshot().counter(names::LOCAL_BALLS)
+        };
+        let (one, full) = (balls(Some(&[70])), balls(None));
+        assert!(
+            one > 0 && one * 20 < full,
+            "one element: {one} balls, full: {full}"
+        );
     }
 
     #[test]

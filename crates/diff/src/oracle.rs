@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use foc_core::{ApproxConfig, DegradePolicy, EngineKind, Error, Evaluator};
+use foc_core::{ApproxConfig, CoverConfig, DegradePolicy, EngineKind, Error, Evaluator};
 use foc_logic::{Formula, Term};
 use foc_structures::Structure;
 
@@ -140,6 +140,11 @@ pub struct Variant {
     /// agreement, and only a bound violation (the broken-guarantee
     /// class) is a divergence. Sentences still run exactly.
     pub epsilon: Option<f64>,
+    /// Cover-engine tuning (`threads` is taken from the variant). The
+    /// default sends every generated structure (order ≤ 14) straight to
+    /// ball enumeration; a lower `direct_threshold` makes the engine
+    /// build covers and run removal surgeries on them.
+    pub cover: CoverConfig,
 }
 
 impl Variant {
@@ -148,7 +153,8 @@ impl Variant {
             .kind(self.kind)
             .threads(self.threads)
             .cache(self.cache)
-            .degrade(self.degrade);
+            .degrade(self.degrade)
+            .cover(self.cover);
         if let Some(eps) = self.epsilon {
             builder = builder.approx(ApproxConfig::with_epsilon(eps));
         }
@@ -168,6 +174,9 @@ pub const MATRIX_THREADS: usize = 4;
 /// single-threaded); every later entry is compared against it. All three
 /// engines appear at threads 1 and [`MATRIX_THREADS`], with the memo
 /// cache exercised both on and off, and both degradation policies.
+/// `cover-t4-deep` lowers the cover engine's direct threshold so that
+/// small generated structures still go through covers and two levels of
+/// the removal recursion.
 pub fn engine_matrix() -> Vec<Variant> {
     use DegradePolicy::{FallThrough, Strict};
     use EngineKind::{Cover, Local, Naive};
@@ -179,6 +188,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: false,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "naive-t4",
@@ -187,6 +197,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: false,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "local-t1-cache",
@@ -195,6 +206,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: true,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "local-t1-nocache",
@@ -203,6 +215,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: false,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "local-t4-cache",
@@ -211,6 +224,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: true,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "cover-t1-cache",
@@ -219,6 +233,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: true,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "cover-t4-cache",
@@ -227,6 +242,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: true,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "cover-t4-nocache",
@@ -235,6 +251,20 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: false,
             degrade: FallThrough,
             epsilon: None,
+            cover: CoverConfig::default(),
+        },
+        Variant {
+            name: "cover-t4-deep",
+            kind: Cover,
+            threads: MATRIX_THREADS,
+            cache: true,
+            degrade: FallThrough,
+            epsilon: None,
+            cover: CoverConfig {
+                depth: 2,
+                direct_threshold: 2,
+                ..CoverConfig::default()
+            },
         },
         Variant {
             name: "local-t1-strict",
@@ -243,6 +273,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: true,
             degrade: Strict,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "cover-t1-strict",
@@ -251,6 +282,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: true,
             degrade: Strict,
             epsilon: None,
+            cover: CoverConfig::default(),
         },
         Variant {
             name: "approx-t1",
@@ -259,6 +291,7 @@ pub fn engine_matrix() -> Vec<Variant> {
             cache: false,
             degrade: FallThrough,
             epsilon: Some(0.1),
+            cover: CoverConfig::default(),
         },
     ]
 }
@@ -491,6 +524,24 @@ mod tests {
             assert!(div.is_empty(), "unexpected divergence: {div:?}");
             assert!(!matches!(oracle, Outcome::Err(_)));
         }
+    }
+
+    #[test]
+    fn deep_cover_variant_runs_the_removal_recursion() {
+        // Generated structures have order ≤ 14, below the default direct
+        // threshold; the deep variant must still build covers and remove.
+        let deep = engine_matrix()
+            .into_iter()
+            .find(|v| v.name == "cover-t4-deep")
+            .expect("deep cover variant in the matrix");
+        let s = path(12);
+        let ev = deep.build(None);
+        let mut session = ev.session(&s);
+        let t = parse_term("#(x,y). !(dist(x,y) <= 2)").unwrap();
+        assert_eq!(session.eval_ground(&t).unwrap(), 12 * 11 - 2 * (11 + 10));
+        let stats = session.stats();
+        assert!(stats.covers_built > 0, "{stats:?}");
+        assert!(stats.removals > 0, "{stats:?}");
     }
 
     #[test]

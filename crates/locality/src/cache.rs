@@ -13,6 +13,15 @@
 //! enumeration at the recursion floor is reused by the cover engine one
 //! level up and vice versa.
 //!
+//! The cover engine only needs values at a cluster's *demanded*
+//! elements (the paper's `Q` marker). A vector computed for a demand
+//! `D` is stored under a key that also carries a hash of the sorted set
+//! `D` (element ids local to the structure), so clusters that are equal
+//! up to renumbering — and demanded at the same local positions — still
+//! share work. Such an entry keeps only the `|D|` demanded values. A
+//! lookup for `D` is served by the full vector when one is resident, and
+//! otherwise by an entry for exactly `D`.
+//!
 //! The cache is `Sync` (a mutexed map with atomic hit/miss counters) so
 //! the parallel cluster path can share one instance across workers
 //! without affecting determinism: a hit returns exactly the vector the
@@ -38,14 +47,42 @@ use foc_structures::{FxHashMap, Structure};
 
 use crate::clterm::BasicClTerm;
 
-/// Key of one memoised value: (term structure, database content). The
-/// universe order is kept alongside the two hashes so a collision must
-/// also agree on the vector length to go unnoticed.
+/// Key of one memoised value: (term structure, database content,
+/// demand). The universe order is kept alongside the hashes so a
+/// collision must also agree on the vector length to go unnoticed;
+/// `demand` is `None` for a full vector and `Some((hash, len))` of the
+/// sorted demanded set otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     term: u64,
     structure: u64,
     order: u32,
+    demand: Option<(u64, u32)>,
+}
+
+/// A demand naming every element is the full demand (`None`), so both
+/// spellings share one entry. Demands are sorted, unique subsets of the
+/// universe, so full length means every element.
+fn partial_demand<'d>(demand: Option<&'d [u32]>, s: &Structure) -> Option<&'d [u32]> {
+    demand.filter(|d| d.len() < s.order() as usize)
+}
+
+impl Key {
+    fn new(term: u64, s: &Structure, demand: Option<&[u32]>) -> Key {
+        Key {
+            term,
+            structure: s.fingerprint(),
+            order: s.order(),
+            demand: demand.map(|d| {
+                use std::hash::Hasher;
+                let mut h = foc_structures::FxHasher::default();
+                for &e in d {
+                    h.write_u32(e);
+                }
+                (h.finish(), d.len() as u32)
+            }),
+        }
+    }
 }
 
 /// One memoised value together with the *actual* term it was computed
@@ -217,33 +254,40 @@ impl TermCache {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up the memoised value of `b` on `s`, counting a hit or miss.
-    /// A hit requires the stored term to compare *equal* to `b`, not just
-    /// hash-equal, so a `structural_hash` collision can never return
-    /// another term's values. Hits set the entry's CLOCK reference bit.
-    pub fn get(&self, b: &BasicClTerm, s: &Structure) -> Option<Arc<Vec<i64>>> {
-        self.get_hashed(b.structural_hash(), b, s)
+    /// Looks up a value of `b` on `s` valid at every element of `demand`
+    /// (sorted, unique; `None` means every element): the full vector if
+    /// resident, else the entry stored for exactly this demand, spread
+    /// back to one slot per element. Slots outside the demand carry no
+    /// meaning. Counts one hit or one miss. A hit requires the stored term to
+    /// compare *equal* to `b`, not just hash-equal, so a
+    /// `structural_hash` collision can never return another term's
+    /// values. Hits set the entry's CLOCK reference bit.
+    pub fn get(&self, b: &BasicClTerm, s: &Structure, demand: Option<&[u32]>) -> Option<Vec<i64>> {
+        self.get_hashed(b.structural_hash(), b, s, demand)
     }
 
     /// [`TermCache::get`] with the term-hash component of the key
     /// supplied by the caller. Kept separate so tests can force two
     /// distinct terms onto one key and observe that identity
     /// verification rejects the cross-read.
-    fn get_hashed(&self, term_hash: u64, b: &BasicClTerm, s: &Structure) -> Option<Arc<Vec<i64>>> {
-        let key = Key {
-            term: term_hash,
-            structure: s.fingerprint(),
-            order: s.order(),
+    fn get_hashed(
+        &self,
+        term_hash: u64,
+        b: &BasicClTerm,
+        s: &Structure,
+        demand: Option<&[u32]>,
+    ) -> Option<Vec<i64>> {
+        let found = match self.probe(&Key::new(term_hash, s, None), b) {
+            Some(full) => Some(full.as_ref().clone()),
+            None => partial_demand(demand, s).and_then(|d| {
+                let compact = self.probe(&Key::new(term_hash, s, Some(d)), b)?;
+                let mut out = vec![0; s.order() as usize];
+                for (&a, &v) in d.iter().zip(compact.iter()) {
+                    out[a as usize] = v;
+                }
+                Some(out)
+            }),
         };
-        let found = self
-            .lock()
-            .map
-            .get_mut(&key)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.term == *b))
-            .map(|e| {
-                e.referenced = true;
-                e.vals.clone()
-            });
         match &found {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -261,24 +305,49 @@ impl TermCache {
         found
     }
 
-    /// Stores the value of `b` on `s`, evicting via CLOCK when at
-    /// capacity (or dropping the insert when every resident entry is
-    /// hot).
-    pub fn insert(&self, b: &BasicClTerm, s: &Structure, vals: Arc<Vec<i64>>) {
-        self.insert_hashed(b.structural_hash(), b, s, vals);
+    /// The stored vector under `key` whose term equals `b`, marking it
+    /// referenced.
+    fn probe(&self, key: &Key, b: &BasicClTerm) -> Option<Arc<Vec<i64>>> {
+        self.lock()
+            .map
+            .get_mut(key)
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.term == *b))
+            .map(|e| {
+                e.referenced = true;
+                e.vals.clone()
+            })
+    }
+
+    /// Stores a value of `b` on `s` computed for `demand` (`None`: every
+    /// element), evicting via CLOCK when at capacity (or dropping the
+    /// insert when every resident entry is hot). `vals` has one slot per
+    /// element of `s`; for a partial demand only the demanded slots are
+    /// kept, so the entry's size is that of the demand.
+    pub fn insert(&self, b: &BasicClTerm, s: &Structure, demand: Option<&[u32]>, vals: Vec<i64>) {
+        self.insert_hashed(b.structural_hash(), b, s, demand, vals);
     }
 
     /// [`TermCache::insert`] with a caller-supplied term hash (see
     /// [`TermCache::get_hashed`]).
-    fn insert_hashed(&self, term_hash: u64, b: &BasicClTerm, s: &Structure, vals: Arc<Vec<i64>>) {
+    fn insert_hashed(
+        &self,
+        term_hash: u64,
+        b: &BasicClTerm,
+        s: &Structure,
+        demand: Option<&[u32]>,
+        vals: Vec<i64>,
+    ) {
         if self.capacity == 0 {
             return;
         }
-        let key = Key {
-            term: term_hash,
-            structure: s.fingerprint(),
-            order: s.order(),
+        let (key, vals) = match partial_demand(demand, s) {
+            None => (Key::new(term_hash, s, None), vals),
+            Some(d) => (
+                Key::new(term_hash, s, Some(d)),
+                d.iter().map(|&a| vals[a as usize]).collect(),
+            ),
         };
+        let vals = Arc::new(vals);
         let mut evicted = 0u64;
         let mut released = 0u64;
         let inserted;
@@ -366,8 +435,10 @@ impl TermCache {
         evicted
     }
 
-    /// Snapshots every entry memoised against a structure fingerprint,
-    /// in a deterministic order (by term hash, then insertion order).
+    /// Snapshots every full-vector entry memoised against a structure
+    /// fingerprint, in a deterministic order (by term hash, then
+    /// insertion order). Demanded entries are left out: their vectors
+    /// are not valid everywhere, so they cannot be patched.
     /// Delta migration re-keys these onto the next epoch's snapshot,
     /// recomputing only dirty-ball entries. Reference bits are left
     /// untouched: enumerating for migration is not a "use".
@@ -375,7 +446,7 @@ impl TermCache {
         let inner = self.lock();
         let mut out: Vec<((u64, u64), BasicClTerm, Arc<Vec<i64>>)> = Vec::new();
         for (key, bucket) in &inner.map {
-            if key.structure != structure_fingerprint {
+            if key.structure != structure_fingerprint || key.demand.is_some() {
                 continue;
             }
             for e in bucket {
@@ -488,9 +559,9 @@ mod tests {
         let cache = TermCache::default();
         let b = some_basic();
         let s = path(6);
-        assert!(cache.get(&b, &s).is_none());
-        cache.insert(&b, &s, Arc::new(vec![1; 6]));
-        assert_eq!(cache.get(&b, &s).unwrap().as_slice(), &[1; 6]);
+        assert!(cache.get(&b, &s, None).is_none());
+        cache.insert(&b, &s, None, vec![1; 6]);
+        assert_eq!(cache.get(&b, &s, None).unwrap().as_slice(), &[1; 6]);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
@@ -498,12 +569,12 @@ mod tests {
     fn distinct_structures_do_not_collide() {
         let cache = TermCache::default();
         let b = some_basic();
-        cache.insert(&b, &path(6), Arc::new(vec![1; 6]));
+        cache.insert(&b, &path(6), None, vec![1; 6]);
         assert!(
-            cache.get(&b, &cycle(6)).is_none(),
+            cache.get(&b, &cycle(6), None).is_none(),
             "different content, same order"
         );
-        assert!(cache.get(&b, &path(7)).is_none(), "different order");
+        assert!(cache.get(&b, &path(7), None).is_none(), "different order");
     }
 
     #[test]
@@ -512,9 +583,9 @@ mod tests {
         let cache = TermCache::default().with_metrics(&metrics);
         let b = some_basic();
         let s = path(6);
-        assert!(cache.get(&b, &s).is_none());
-        cache.insert(&b, &s, Arc::new(vec![1; 6]));
-        assert!(cache.get(&b, &s).is_some());
+        assert!(cache.get(&b, &s, None).is_none());
+        cache.insert(&b, &s, None, vec![1; 6]);
+        assert!(cache.get(&b, &s, None).is_some());
         let snap = metrics.snapshot();
         assert_eq!(snap.counter(foc_obs::names::CACHE_HITS), 1);
         assert_eq!(snap.counter(foc_obs::names::CACHE_MISSES), 1);
@@ -537,27 +608,58 @@ mod tests {
         let cache = TermCache::default();
         let s = path(6);
         let h = b1.structural_hash();
-        cache.insert_hashed(h, &b1, &s, Arc::new(vec![7; 6]));
+        cache.insert_hashed(h, &b1, &s, None, vec![7; 6]);
         assert!(
-            cache.get_hashed(h, &b2, &s).is_none(),
+            cache.get_hashed(h, &b2, &s, None).is_none(),
             "a colliding key must not surface another term's values"
         );
         // Both colliding terms coexist in the bucket with their own data.
-        cache.insert_hashed(h, &b2, &s, Arc::new(vec![9; 6]));
-        assert_eq!(cache.get_hashed(h, &b1, &s).unwrap().as_slice(), &[7; 6]);
-        assert_eq!(cache.get_hashed(h, &b2, &s).unwrap().as_slice(), &[9; 6]);
+        cache.insert_hashed(h, &b2, &s, None, vec![9; 6]);
+        assert_eq!(
+            cache.get_hashed(h, &b1, &s, None).unwrap().as_slice(),
+            &[7; 6]
+        );
+        assert_eq!(
+            cache.get_hashed(h, &b2, &s, None).unwrap().as_slice(),
+            &[9; 6]
+        );
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn demanded_entries_serve_only_their_demand() {
+        let cache = TermCache::default();
+        let b = some_basic();
+        let s = path(6);
+        cache.insert(&b, &s, Some(&[1, 3]), vec![9, 5, 9, 7, 9, 9]);
+        assert_eq!(
+            cache.get(&b, &s, Some(&[1, 3])).unwrap(),
+            vec![0, 5, 0, 7, 0, 0],
+            "only the demanded slots are stored"
+        );
+        assert_eq!(cache.resident_bytes(), ENTRY_OVERHEAD_BYTES + 2 * 8);
+        assert!(cache.get(&b, &s, Some(&[1])).is_none(), "other demand");
+        assert!(cache.get(&b, &s, None).is_none(), "not a full vector");
+        assert!(
+            cache.entries_for(s.fingerprint()).is_empty(),
+            "demanded entries are not migratable"
+        );
+        // A full vector serves every demand.
+        cache.insert(&b, &s, None, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(cache.get(&b, &s, Some(&[1])).unwrap()[1], 2);
+        assert_eq!(cache.get(&b, &s, Some(&[1, 3])).unwrap()[3], 4);
+        assert_eq!((cache.hits(), cache.misses()), (3, 2));
     }
 
     #[test]
     fn capacity_bounds_inserts() {
         let cache = TermCache::with_capacity(1);
         let b = some_basic();
-        cache.insert(&b, &path(4), Arc::new(vec![0; 4]));
-        cache.insert(&b, &path(5), Arc::new(vec![0; 5]));
+        cache.insert(&b, &path(4), None, vec![0; 4]);
+        cache.insert(&b, &path(5), None, vec![0; 5]);
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&b, &path(4)).is_some());
-        assert!(cache.get(&b, &path(5)).is_none());
+        assert!(cache.get(&b, &path(4), None).is_some());
+        assert!(cache.get(&b, &path(5), None).is_none());
     }
 
     #[test]
@@ -567,23 +669,35 @@ mod tests {
         // (second chance), unreferenced ones are evicted.
         let cache = TermCache::with_capacity(2);
         let b = some_basic();
-        cache.insert(&b, &path(4), Arc::new(vec![0; 4]));
-        cache.insert(&b, &path(5), Arc::new(vec![0; 5]));
+        cache.insert(&b, &path(4), None, vec![0; 4]);
+        cache.insert(&b, &path(5), None, vec![0; 5]);
         // Both entries are born referenced, so this insert completes a
         // full lap clearing their bits and is dropped (working set hot).
-        cache.insert(&b, &path(6), Arc::new(vec![0; 6]));
+        cache.insert(&b, &path(6), None, vec![0; 6]);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 0);
-        assert!(cache.get(&b, &path(6)).is_none(), "hot lap drops incoming");
+        assert!(
+            cache.get(&b, &path(6), None).is_none(),
+            "hot lap drops incoming"
+        );
         // Re-reference path(5); path(4) stays cold from the cleared lap.
-        assert!(cache.get(&b, &path(5)).is_some());
+        assert!(cache.get(&b, &path(5), None).is_some());
         // Now the sweep finds path(4) unreferenced and evicts it.
-        cache.insert(&b, &path(7), Arc::new(vec![0; 7]));
+        cache.insert(&b, &path(7), None, vec![0; 7]);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(&b, &path(4)).is_none(), "cold entry evicted");
-        assert!(cache.get(&b, &path(5)).is_some(), "hot entry survives");
-        assert!(cache.get(&b, &path(7)).is_some(), "new entry resident");
+        assert!(
+            cache.get(&b, &path(4), None).is_none(),
+            "cold entry evicted"
+        );
+        assert!(
+            cache.get(&b, &path(5), None).is_some(),
+            "hot entry survives"
+        );
+        assert!(
+            cache.get(&b, &path(7), None).is_some(),
+            "new entry resident"
+        );
     }
 
     #[test]
@@ -591,14 +705,14 @@ mod tests {
         let metrics = Metrics::new();
         let cache = TermCache::with_capacity(1).with_metrics(&metrics);
         let b = some_basic();
-        cache.insert(&b, &path(4), Arc::new(vec![0; 4]));
+        cache.insert(&b, &path(4), None, vec![0; 4]);
         // First attempt is dropped (path(4) is born referenced) but
         // clears its bit; the second attempt evicts it.
-        cache.insert(&b, &path(5), Arc::new(vec![0; 5]));
+        cache.insert(&b, &path(5), None, vec![0; 5]);
         assert_eq!(cache.evictions(), 0);
-        cache.insert(&b, &path(6), Arc::new(vec![0; 6]));
+        cache.insert(&b, &path(6), None, vec![0; 6]);
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&b, &path(6)).is_some());
+        assert!(cache.get(&b, &path(6), None).is_some());
         assert_eq!(cache.evictions(), 1);
         assert_eq!(
             metrics.snapshot().counter(foc_obs::names::CACHE_EVICTIONS),
@@ -612,11 +726,11 @@ mod tests {
         let cache = TermCache::with_capacity(8).with_memory_meter(meter.clone());
         let b = some_basic();
         assert_eq!(cache.resident_bytes(), 0);
-        cache.insert(&b, &path(4), Arc::new(vec![0; 4]));
+        cache.insert(&b, &path(4), None, vec![0; 4]);
         let one = cache.resident_bytes();
         assert_eq!(one, ENTRY_OVERHEAD_BYTES + 4 * 8);
         assert_eq!(meter.used(), one);
-        cache.insert(&b, &path(5), Arc::new(vec![0; 5]));
+        cache.insert(&b, &path(5), None, vec![0; 5]);
         assert_eq!(meter.used(), cache.resident_bytes());
         // Forced shrink releases both the cache's and the meter's bytes.
         let evicted = cache.shrink_to(1);
@@ -632,10 +746,10 @@ mod tests {
         let cache = TermCache::with_capacity(8);
         let b = some_basic();
         for n in 4..8 {
-            cache.insert(&b, &path(n), Arc::new(vec![0; n as usize]));
+            cache.insert(&b, &path(n), None, vec![0; n as usize]);
         }
         // Reference bits do not protect entries from a forced shrink.
-        assert!(cache.get(&b, &path(4)).is_some());
+        assert!(cache.get(&b, &path(4), None).is_some());
         assert_eq!(cache.shrink_to(0), 4);
         assert!(cache.is_empty());
         assert_eq!(cache.resident_bytes(), 0);

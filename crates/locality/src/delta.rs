@@ -17,8 +17,6 @@
 //! caller retires the old epoch with [`TermCache::evict_structure`] once
 //! no reader can reference it.
 
-use std::sync::Arc;
-
 use foc_logic::Predicates;
 use foc_structures::{BfsScratch, FxHashSet, Structure};
 
@@ -76,7 +74,7 @@ pub fn migrate_cache(
         dirty.sort_unstable();
         match patch_vector(&mut lev, &term, &vals, &dirty) {
             Ok(patched) => {
-                cache.insert(&term, new, Arc::new(patched));
+                cache.insert(&term, new, None, patched);
                 stats.migrated += 1;
                 stats.recomputed += dirty.len();
             }
@@ -152,7 +150,7 @@ mod tests {
             let mut lev = LocalEvaluator::new(&old, &preds);
             for b in &basics {
                 let vals = lev.eval_basic_all(b).unwrap();
-                cache.insert(b, &old, Arc::new(vals));
+                cache.insert(b, &old, None, vals);
             }
         }
         let info = d
@@ -167,18 +165,18 @@ mod tests {
         assert!(stats.recomputed < basics.len() * new.order() as usize);
         let mut lev = LocalEvaluator::new(&new, &preds);
         for b in &basics {
-            let migrated = cache.get(b, &new).expect("entry migrated");
+            let migrated = cache.get(b, &new, None).expect("entry migrated");
             let fresh = lev.eval_basic_all(b).unwrap();
             assert_eq!(*migrated, fresh, "term {b:?}");
         }
         // Old-epoch entries stay readable until explicitly retired.
         for b in &basics {
-            assert!(cache.get(b, &old).is_some());
+            assert!(cache.get(b, &old, None).is_some());
         }
         let evicted = cache.evict_structure(old.fingerprint());
         assert_eq!(evicted, basics.len() as u64);
-        assert!(cache.get(&basics[0], &old).is_none());
-        assert!(cache.get(&basics[0], &new).is_some());
+        assert!(cache.get(&basics[0], &old, None).is_none());
+        assert!(cache.get(&basics[0], &new, None).is_some());
     }
 
     #[test]
@@ -197,7 +195,7 @@ mod tests {
             let mut lev = LocalEvaluator::new(&old, &preds);
             for b in &basics {
                 let vals = lev.eval_basic_all(b).unwrap();
-                cache.insert(b, &old, Arc::new(vals));
+                cache.insert(b, &old, None, vals);
             }
         }
         d.apply(&[TupleOp::insert("E", &[0, 5]), TupleOp::insert("E", &[5, 0])])
@@ -213,7 +211,7 @@ mod tests {
         );
         for b in &basics {
             assert!(
-                cache.get(b, &new).is_none(),
+                cache.get(b, &new, None).is_none(),
                 "stale epoch-0 entry served for the epoch-2 snapshot"
             );
         }

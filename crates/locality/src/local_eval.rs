@@ -386,24 +386,42 @@ impl<'a> LocalEvaluator<'a> {
         best
     }
 
-    /// `u^A[a]` for all elements at once (elements outside the guard-atom
-    /// support are 0 without exploring their neighbourhood). Consults the
-    /// attached [`TermCache`] and fans the per-element loop out over
-    /// [`LocalEvaluator::threads`] workers.
+    /// `u^A[a]` for all elements at once: [`LocalEvaluator::eval_basic_for`]
+    /// with no demand.
     pub fn eval_basic_all(&mut self, b: &BasicClTerm) -> Result<Vec<i64>> {
-        self.guard.check(Phase::BallEnum)?;
-        if let Some(cache) = self.cache.clone() {
-            if let Some(vals) = cache.get(b, self.a) {
-                return Ok(vals.as_ref().clone());
-            }
-            let vals = self.eval_basic_all_uncached(b)?;
-            cache.insert(b, self.a, Arc::new(vals.clone()));
-            return Ok(vals);
-        }
-        self.eval_basic_all_uncached(b)
+        self.eval_basic_for(b, None)
     }
 
-    fn eval_basic_all_uncached(&mut self, b: &BasicClTerm) -> Result<Vec<i64>> {
+    /// `u^A[a]` for the elements of `demand` (sorted, unique; `None`
+    /// means every element). The result has one slot per element of the
+    /// universe; slots outside the demand carry no meaning (a memoised
+    /// full vector may fill them). Elements outside the guard-atom
+    /// support are 0 without exploring their neighbourhood.
+    /// Consults the attached [`TermCache`] (a full vector serves any
+    /// demand) and fans the per-element loop out over
+    /// [`LocalEvaluator::threads`] workers.
+    pub fn eval_basic_for(&mut self, b: &BasicClTerm, demand: Option<&[u32]>) -> Result<Vec<i64>> {
+        self.guard.check(Phase::BallEnum)?;
+        if let Some(cache) = self.cache.clone() {
+            if let Some(vals) = cache.get(b, self.a, demand) {
+                return Ok(vals);
+            }
+            let vals = self.eval_basic_for_uncached(b, demand)?;
+            cache.insert(b, self.a, demand, vals.clone());
+            return Ok(vals);
+        }
+        self.eval_basic_for_uncached(b, demand)
+    }
+
+    fn eval_basic_for_uncached(
+        &mut self,
+        b: &BasicClTerm,
+        demand: Option<&[u32]>,
+    ) -> Result<Vec<i64>> {
+        let mut out = vec![0i64; self.a.order() as usize];
+        if demand.is_some_and(|d| d.is_empty()) {
+            return Ok(out);
+        }
         let _span = self.obs.as_ref().map(|o| {
             o.parent.child(
                 "ball_enum",
@@ -418,11 +436,12 @@ impl<'a> LocalEvaluator<'a> {
         } else {
             None
         };
-        let elems: Vec<u32> = match support {
-            Some(support) => support,
-            None => self.a.universe().collect(),
+        let elems: Vec<u32> = match (support, demand) {
+            (Some(support), Some(demand)) => sorted_intersection(&support, demand),
+            (Some(support), None) => support,
+            (None, Some(demand)) => demand.to_vec(),
+            (None, None) => self.a.universe().collect(),
         };
-        let mut out = vec![0i64; self.a.order() as usize];
         let threads = foc_parallel::resolve_threads(self.threads).min(elems.len().max(1));
         if threads <= 1 {
             // Catch panics here too, so `threads = 1` gives the same
@@ -628,6 +647,24 @@ fn collect_atom_candidates(
         }
         _ => {}
     }
+}
+
+/// The common elements of two sorted, duplicate-free lists.
+fn sorted_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let (mut i, mut j) = (0, 0);
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
 }
 
 fn combine(a: ClValue, b: ClValue, op: impl Fn(i64, i64) -> Option<i64>) -> Result<ClValue> {

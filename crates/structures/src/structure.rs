@@ -438,6 +438,12 @@ impl Structure {
 
     /// The induced substructure `A[B]` on a sorted set of elements, with
     /// the mapping back to original element ids (`back[new] = old`).
+    ///
+    /// Runs in time proportional to the rows *starting* in `B` (plus a
+    /// binary search per element and relation), not to `‖A‖`: every kept
+    /// row starts with an element of `B`, so it is found by
+    /// [`Relation::rows_with_first`]. The renumbering is monotone, so the
+    /// kept rows come out already sorted and unique.
     pub fn induced(&self, elems: &[u32]) -> InducedSubstructure {
         debug_assert!(
             elems.windows(2).all(|w| w[0] < w[1]),
@@ -451,25 +457,33 @@ impl Structure {
         for (new, &old) in elems.iter().enumerate() {
             fwd.insert(old, new as u32);
         }
-        let rels: Vec<Vec<Vec<u32>>> = self
+        let rels: Vec<Arc<Relation>> = self
             .rels
             .iter()
             .map(|rel| {
-                let mut keep = Vec::new();
-                'rows: for row in rel.rows() {
-                    let mut new_row = Vec::with_capacity(row.len());
-                    for &e in row {
-                        match fwd.get(&e) {
-                            Some(&ne) => new_row.push(ne),
-                            None => continue 'rows,
+                if rel.arity() == 0 {
+                    // A 0-ary relation mentions no element: kept as is.
+                    return rel.clone();
+                }
+                let mut data = Vec::new();
+                for &first in elems {
+                    'rows: for row in rel.rows_with_first(first) {
+                        let start = data.len();
+                        for &e in row {
+                            match fwd.get(&e) {
+                                Some(&ne) => data.push(ne),
+                                None => {
+                                    data.truncate(start);
+                                    continue 'rows;
+                                }
+                            }
                         }
                     }
-                    keep.push(new_row);
                 }
-                keep
+                Arc::new(Relation::from_sorted_data(rel.arity(), data))
             })
             .collect();
-        let structure = Structure::new(self.sig.clone(), elems.len() as u32, rels);
+        let structure = Structure::from_parts(self.sig.clone(), elems.len() as u32, rels, 0, None);
         InducedSubstructure {
             structure,
             back: elems.to_vec(),
@@ -754,6 +768,73 @@ mod tests {
         assert_eq!(ind.structure.relation(e).unwrap().len(), 2);
         assert_eq!(ind.back, vec![1, 2, 4]);
         assert_eq!(ind.fwd.get(&4), Some(&2));
+    }
+
+    /// The reference definition of `A[B]`: filter every row of every
+    /// relation, keep those inside `B`, renumber.
+    fn induced_by_filter(s: &Structure, elems: &[u32]) -> Structure {
+        let fwd: FxHashMap<u32, u32> = elems
+            .iter()
+            .enumerate()
+            .map(|(new, &old)| (old, new as u32))
+            .collect();
+        let rows = (0..s.signature().len())
+            .map(|i| {
+                s.relation_at(i)
+                    .rows()
+                    .filter_map(|row| {
+                        row.iter()
+                            .map(|e| fwd.get(e).copied())
+                            .collect::<Option<Vec<u32>>>()
+                    })
+                    .collect()
+            })
+            .collect();
+        Structure::new(s.signature().clone(), elems.len() as u32, rows)
+    }
+
+    #[test]
+    fn induced_matches_whole_relation_filter() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for case in 0..40u32 {
+            let n = 2 + case % 9;
+            let mut b = StructureBuilder::new();
+            for (name, arity) in [("F", 0), ("P", 1), ("E", 2), ("T", 3)] {
+                b.declare(name, arity);
+            }
+            b.ensure_universe(n);
+            if case % 2 == 0 {
+                b.try_insert("F", &[]).unwrap();
+            }
+            for _ in 0..3 * n {
+                let r = |rng: &mut StdRng| rng.gen_range(0..n);
+                b.try_insert("P", &[r(&mut rng)]).unwrap();
+                let u = r(&mut rng);
+                // Self-loops E(x,x) and repeated ternary positions too.
+                let v = if rng.gen_bool(0.2) { u } else { r(&mut rng) };
+                b.try_insert("E", &[u, v]).unwrap();
+                b.try_insert("T", &[u, r(&mut rng), v]).unwrap();
+            }
+            let s = b.finish();
+            // Random subsets: rows whose first element is outside, and
+            // rows that start inside but leave the set, both occur.
+            let elems: Vec<u32> = (0..n).filter(|_| rng.gen_bool(0.6)).collect();
+            let elems = if elems.is_empty() { vec![n - 1] } else { elems };
+            let got = s.induced(&elems);
+            let want = induced_by_filter(&s, &elems);
+            for i in 0..s.signature().len() {
+                assert_eq!(
+                    got.structure.relation_at(i),
+                    want.relation_at(i),
+                    "relation {i} on case {case}, elems {elems:?}"
+                );
+            }
+            assert_eq!(got.structure.order(), want.order());
+            assert_eq!(got.structure.fingerprint(), want.fingerprint());
+            assert_eq!(got.back, elems);
+        }
     }
 
     #[test]
