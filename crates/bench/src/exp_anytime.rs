@@ -5,7 +5,7 @@
 //! answer it returns is sound for its tag, and giving the driver more
 //! budget never makes the answer worse. This experiment measures that
 //! curve on a locality-heavy counting query under the cover engine
-//! (the full sample → local → exact ladder): one run per fuel budget
+//! (the full sample → approx → local → exact ladder): one run per fuel budget
 //! in an increasing sweep, each recording the confidence tag, the
 //! banked value, and quality = banked / exact ∈ [0, 1].
 //!
@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use foc_core::{AnytimeConfig, Confidence, EngineKind, Error, Evaluator};
+use foc_core::{Confidence, EngineKind, Error, Evaluator};
 use foc_logic::build::{cnt, dist_le, not, v};
 use foc_structures::gen::grid;
 
@@ -113,19 +113,19 @@ pub fn e15(quick: bool) -> Vec<Table> {
 
     // The exact baseline: an unbounded anytime run collapses to one
     // exact pass.
-    let cfg = AnytimeConfig::default();
     let unbounded = Evaluator::builder()
         .kind(EngineKind::Cover)
         .build()
         .expect("the unbounded cover engine is a valid configuration");
     let exact = unbounded
-        .eval_ground_anytime(&a, &query, &cfg, None, None)
+        .eval_ground_anytime(&a, &query, None, None)
         .expect("unbounded run")
         .value;
     assert!(exact > 0, "the E15 query must have witnesses");
 
     // An increasing fuel sweep from starved (nothing banked) through
-    // degraded (sample lower bounds) to exact, ending unbounded.
+    // degraded (lower bounds, ε-bounded estimates) to exact, ending
+    // unbounded.
     let budgets: Vec<Option<u64>> = if quick {
         vec![Some(300), Some(1_000), Some(3_000), Some(30_000), None]
     } else {
@@ -161,7 +161,7 @@ pub fn e15(quick: bool) -> Vec<Table> {
         }
         let ev = b.build().expect("budgeted cover engine");
         let t0 = Instant::now();
-        let cell = match ev.eval_ground_anytime(&a, &query, &cfg, None, None) {
+        let cell = match ev.eval_ground_anytime(&a, &query, None, None) {
             Ok(out) => {
                 let quality = (out.value as f64 / exact as f64).clamp(0.0, 1.0);
                 BudgetCell {

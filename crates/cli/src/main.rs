@@ -195,12 +195,12 @@ options:
   --strict                     surface capability errors instead of
                                degrading down the engine ladder
   --anytime                    iterative deepening (check/eval/count/
-                               explain): run weaker passes first and, on
-                               a tripped budget, print the best-so-far
-                               answer with a confidence tag (exact,
-                               approx, lower_bound, partial) instead of
-                               exiting 3; exit 3 only when no pass
-                               banked an answer
+                               explain): split the budget over a ladder
+                               of passes; a counting term whose budget
+                               trips prints the best-so-far answer with
+                               a confidence tag (exact, approx,
+                               lower_bound) instead of exiting 3; a
+                               sentence answers exactly or exits 3
   --approx                     answer eval/count through the (ε, δ)
                                sampling estimator: prints `estimate
                                ±bound` where the additive bound holds
@@ -516,8 +516,7 @@ fn cmd_check(args: &[String]) -> CliResult {
     let ev = engine_with_sink(args, mem.clone().map(|m| m as Arc<dyn Sink>))?;
     if has_flag(args, "--anytime") {
         let t0 = std::time::Instant::now();
-        let out =
-            ev.check_sentence_anytime(&s, &f, &foc_core::AnytimeConfig::default(), None, None)?;
+        let out = ev.check_sentence_anytime(&s, &f, None, None)?;
         report_anytime(args, &ev, &out, t0.elapsed());
         return Ok(());
     }
@@ -545,8 +544,7 @@ fn cmd_eval(args: &[String]) -> CliResult {
     let ev = engine_with_sink(args, mem.clone().map(|m| m as Arc<dyn Sink>))?;
     if has_flag(args, "--anytime") {
         let t0 = std::time::Instant::now();
-        let out =
-            ev.eval_ground_anytime(&s, &t, &foc_core::AnytimeConfig::default(), None, None)?;
+        let out = ev.eval_ground_anytime(&s, &t, None, None)?;
         report_anytime(args, &ev, &out, t0.elapsed());
         return Ok(());
     }
@@ -584,8 +582,7 @@ fn cmd_count(args: &[String]) -> CliResult {
         Arc::new(foc_logic::Term::Count(vars.into_boxed_slice(), f.clone()));
     if has_flag(args, "--anytime") {
         let t0 = std::time::Instant::now();
-        let out =
-            ev.eval_ground_anytime(&s, &t, &foc_core::AnytimeConfig::default(), None, None)?;
+        let out = ev.eval_ground_anytime(&s, &t, None, None)?;
         report_anytime(args, &ev, &out, t0.elapsed());
         return Ok(());
     }
@@ -679,18 +676,17 @@ fn cmd_explain(args: &[String]) -> CliResult {
 /// only a zero-progress run keeps the interrupt exit code, after still
 /// rendering whatever spans the attempts produced.
 fn explain_anytime(s: &Structure, src: &str, ev: &Evaluator, mem: &Arc<MemorySink>) -> CliResult {
-    let cfg = foc_core::AnytimeConfig::default();
     let t0 = std::time::Instant::now();
     let run = match parse_formula(src) {
         Ok(f) if f.is_sentence() => ev
-            .check_sentence_anytime(s, &f, &cfg, None, None)
+            .check_sentence_anytime(s, &f, None, None)
             .map(|o| (o.value.to_string(), o.confidence, o.passes, o.interrupt)),
         _ => {
             let t = parse_term(src).map_err(|e| format!("not a sentence or term: {e}"))?;
             if !t.is_ground() {
                 return Err("explain needs a sentence or a ground term (no free variables)".into());
             }
-            ev.eval_ground_anytime(s, &t, &cfg, None, None)
+            ev.eval_ground_anytime(s, &t, None, None)
                 .map(|o| (o.value.to_string(), o.confidence, o.passes, o.interrupt))
         }
     };

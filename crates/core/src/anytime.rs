@@ -9,22 +9,22 @@
 //!
 //! The pass ladder, from weakest to strongest:
 //!
-//! 1. **`sample`** — reference semantics on a sample of the work.
-//!    For a top-level counting term `#(x̄).φ` the sample is a prefix of
-//!    the *assignment space*: elements are processed one at a time,
-//!    each contributing its exact sub-count over the full structure, so
-//!    the accumulated tally is a sound **lower bound** (and the exact
-//!    value if every element completes). For sentences and arithmetic
-//!    terms the sample is an induced-prefix substructure, tagged
-//!    `partial{clusters_done, clusters_total}` (`done == total` means
-//!    the "sample" was the whole structure).
-//! 2. **`local`** — the full locality decomposition + ball enumeration
-//!    engine (skipped when it is already the configured engine). Exact
-//!    on completion.
-//! 3. **`exact`** — the configured engine (usually the cover +
-//!    removal recursion of Section 8.2). Exact on completion; when the
-//!    cover recursion trips mid-way its progress is reported as
-//!    `clusters_done / clusters_total` of the top-level cover.
+//! 1. **`sample`** — only for a ground counting term `#(x̄).φ` with at
+//!    least one counted variable: a prefix of the *assignment space*.
+//!    Elements are processed one at a time, each contributing its exact
+//!    sub-count over the full structure, so the accumulated tally is a
+//!    sound **lower bound** (and the exact value if every element
+//!    completes).
+//! 2. **`approx`** — same terms only: the `(ε, δ)` estimator, tagged
+//!    with its additive error bound.
+//! 3. **`local`** — the full locality decomposition + ball enumeration
+//!    engine (only on the cover ladder). Exact on completion.
+//! 4. **`exact`** — the configured engine (usually the cover +
+//!    removal recursion of Section 8.2). Exact on completion.
+//!
+//! Sentences and every other term run just `[local →] exact`: a
+//! verdict is either proved on the whole structure or not given, so a
+//! tripped budget yields [`Error::Interrupted`], never a guess.
 //!
 //! A [`TimeManager`] splits the request budget across the passes:
 //! weighted slices for the early passes, everything that remains for
@@ -44,43 +44,22 @@ use std::time::{Duration, Instant};
 
 use foc_eval::{Assignment, NaiveEvaluator};
 use foc_guard::{Confidence, Interrupt, PassPlan, Phase, SkipReason, TimeManager, TripReason};
-use foc_logic::{Formula, Term};
+use foc_logic::{Formula, Term, Var};
 use foc_obs::{names, pow2_buckets, quantile, Counter, Histogram, Metrics};
 use foc_structures::Structure;
 
 use crate::engine::{EngineKind, Evaluator};
 use crate::error::{Error, Result};
 
-/// Tuning for the deepening driver.
-#[derive(Debug, Clone, Copy)]
-pub struct AnytimeConfig {
-    /// Fraction of the remaining budget the `sample` pass may spend.
-    pub sample_weight: f64,
-    /// Fraction of the remaining budget the `approx` pass may spend
-    /// (only present on ladders for ground counting terms).
-    pub approx_weight: f64,
-    /// Fraction of the remaining budget the `local` pass may spend
-    /// (only present on the cover ladder).
-    pub local_weight: f64,
-    /// Universe fraction for induced-prefix samples (sentences and
-    /// non-counting terms).
-    pub sample_fraction: f64,
-    /// Elements the chunked sample pass processes before its projection
-    /// may abort the pass.
-    pub min_chunk: u64,
-}
-
-impl Default for AnytimeConfig {
-    fn default() -> AnytimeConfig {
-        AnytimeConfig {
-            sample_weight: 0.3,
-            approx_weight: 0.2,
-            local_weight: 0.4,
-            sample_fraction: 0.25,
-            min_chunk: 4,
-        }
-    }
-}
+/// Fraction of the remaining budget the `sample` pass may spend.
+const SAMPLE_WEIGHT: f64 = 0.3;
+/// Fraction of the remaining budget the `approx` pass may spend.
+const APPROX_WEIGHT: f64 = 0.2;
+/// Fraction of the remaining budget the `local` pass may spend.
+const LOCAL_WEIGHT: f64 = 0.4;
+/// Elements the chunked sample pass processes before its projection
+/// may abort the pass.
+const MIN_CHUNK: u64 = 4;
 
 /// Which rung of the pass ladder a report describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,7 +102,7 @@ pub enum PassStatus {
     Skipped(SkipReason),
     /// The pass hit a non-budget error (recorded; a later pass decides
     /// whether it is fatal).
-    Errored(String),
+    Errored(Error),
 }
 
 /// A best-so-far value: Boolean for sentences, integer for terms.
@@ -150,8 +129,8 @@ pub struct PassReport {
     pub micros: u64,
     /// Fuel the pass spent.
     pub fuel_spent: u64,
-    /// Work units completed (sample elements, or top-level cover
-    /// clusters for the exact pass).
+    /// Work units completed (sample elements, estimator samples, or
+    /// top-level cover clusters for a full pass).
     pub clusters_done: u64,
     /// Total work units of the pass.
     pub clusters_total: u64,
@@ -275,20 +254,18 @@ struct PassRun {
 }
 
 impl Evaluator {
-    /// Anytime model checking: like [`Evaluator::check_sentence`], but a
-    /// budget trip returns the best-so-far verdict with its confidence
-    /// tag instead of [`Error::Interrupted`]. Errors only when no pass
-    /// banked anything before the budget went, or on a real (semantic /
-    /// capability) evaluation error.
+    /// Anytime model checking: like [`Evaluator::check_sentence`], but
+    /// the budget is split across the `[local →] exact` ladder. A verdict
+    /// is always exact; when no full pass completes the run ends in
+    /// [`Error::Interrupted`].
     pub fn check_sentence_anytime(
         &self,
         a: &Structure,
         f: &Arc<Formula>,
-        cfg: &AnytimeConfig,
         model: Option<&CostModel>,
         on_pass: Option<&mut dyn FnMut(&PassReport)>,
     ) -> Result<Anytime<bool>> {
-        let out = self.deepen(a, QueryRef::Sentence(f), cfg, model, on_pass)?;
+        let out = self.deepen(a, QueryRef::Sentence(f), model, on_pass)?;
         Ok(Anytime {
             value: match out.value {
                 AnswerValue::Bool(b) => b,
@@ -307,11 +284,10 @@ impl Evaluator {
         &self,
         a: &Structure,
         t: &Arc<Term>,
-        cfg: &AnytimeConfig,
         model: Option<&CostModel>,
         on_pass: Option<&mut dyn FnMut(&PassReport)>,
     ) -> Result<Anytime<i64>> {
-        let out = self.deepen(a, QueryRef::Ground(t), cfg, model, on_pass)?;
+        let out = self.deepen(a, QueryRef::Ground(t), model, on_pass)?;
         Ok(Anytime {
             value: match out.value {
                 AnswerValue::Int(v) => v,
@@ -329,7 +305,6 @@ impl Evaluator {
         &self,
         a: &Structure,
         q: QueryRef<'_>,
-        cfg: &AnytimeConfig,
         model: Option<&CostModel>,
         mut on_pass: Option<&mut dyn FnMut(&PassReport)>,
     ) -> Result<Anytime<AnswerValue>> {
@@ -357,11 +332,7 @@ impl Evaluator {
                     })
                 }
                 PassStatus::Tripped(i) => Err(Error::Interrupted(i)),
-                PassStatus::Errored(_) => {
-                    // Re-run through the plain entry point so the caller
-                    // sees the original error value, not a rendering.
-                    Err(self.plain_error(a, q))
-                }
+                PassStatus::Errored(e) => Err(e),
                 PassStatus::Aborted | PassStatus::Skipped(_) => unreachable!("full pass"),
             };
         }
@@ -369,42 +340,37 @@ impl Evaluator {
         if let Some(m) = model {
             m.runs.inc();
         }
-        let mut ladder: Vec<(PassKind, EngineKind)> = match self.kind() {
-            EngineKind::Naive => vec![
-                (PassKind::Sample, EngineKind::Naive),
-                (PassKind::Exact, EngineKind::Naive),
-            ],
-            EngineKind::Local => vec![
-                (PassKind::Sample, EngineKind::Naive),
-                (PassKind::Exact, EngineKind::Local),
-            ],
-            EngineKind::Cover => vec![
-                (PassKind::Sample, EngineKind::Naive),
-                (PassKind::Local, EngineKind::Local),
-                (PassKind::Exact, EngineKind::Cover),
-            ],
+        // Only a ground counting term has sound sub-exact answers: a
+        // verified lower bound from the chunked sample, then the `(ε, δ)`
+        // estimator, whose explicit error guarantee ranks above it.
+        let counting = match q {
+            QueryRef::Ground(t) => match &**t {
+                Term::Count(vars, body) if !vars.is_empty() => Some((t, &**vars, body)),
+                _ => None,
+            },
+            QueryRef::Sentence(_) => None,
         };
-        // Ground counting terms get the `(ε, δ)` estimator as a rung
-        // right above the chunked sample: when the budget cannot afford
-        // a full pass, an answer with an explicit error guarantee beats
-        // a bare lower bound (and ranks above it).
-        if matches!(q, QueryRef::Ground(t)
-            if matches!(&**t, Term::Count(vars, _) if !vars.is_empty()))
-        {
-            ladder.insert(1, (PassKind::Approx, EngineKind::Naive));
+        let mut ladder: Vec<(PassKind, EngineKind)> = Vec::with_capacity(4);
+        if counting.is_some() {
+            ladder.push((PassKind::Sample, EngineKind::Naive));
+            ladder.push((PassKind::Approx, EngineKind::Naive));
         }
+        if self.kind() == EngineKind::Cover {
+            ladder.push((PassKind::Local, EngineKind::Local));
+        }
+        ladder.push((PassKind::Exact, self.kind()));
 
         let mut best: Option<(AnswerValue, Confidence)> = None;
         let mut reports: Vec<PassReport> = Vec::with_capacity(ladder.len());
         let mut last_trip: Option<Interrupt> = None;
-        let mut last_error: Option<String> = None;
+        let mut last_error: Option<Error> = None;
 
         for (i, &(pk, ek)) in ladder.iter().enumerate() {
             let is_final = i + 1 == ladder.len();
             let weight = match pk {
-                PassKind::Sample => cfg.sample_weight,
-                PassKind::Approx => cfg.approx_weight,
-                PassKind::Local => cfg.local_weight,
+                PassKind::Sample => SAMPLE_WEIGHT,
+                PassKind::Approx => APPROX_WEIGHT,
+                PassKind::Local => LOCAL_WEIGHT,
                 PassKind::Exact => 1.0,
             };
             // A final pass with nothing banked yet runs regardless of
@@ -438,10 +404,12 @@ impl Evaluator {
                 }
             };
             let t0 = Instant::now();
-            let run = match pk {
-                PassKind::Sample => self.sample_pass(a, q, &plan, cfg),
-                PassKind::Approx => self.approx_pass(a, q, &plan, model),
-                PassKind::Local | PassKind::Exact => self.full_pass(a, q, ek, Some(&plan)),
+            let run = match (pk, counting) {
+                (PassKind::Sample, Some((_, vars, body))) => self.sample_pass(a, vars, body, &plan),
+                (PassKind::Approx, Some((t, vars, body))) => {
+                    self.approx_pass(a, t, vars, body, &plan, model)
+                }
+                _ => self.full_pass(a, q, ek, Some(&plan)),
             };
             let elapsed = t0.elapsed();
             tm.record_fuel(run.fuel_spent);
@@ -452,14 +420,14 @@ impl Evaluator {
             }
             match &run.status {
                 PassStatus::Tripped(intr) => last_trip = Some(*intr),
-                PassStatus::Errored(msg) => {
+                PassStatus::Errored(e) => {
                     if is_final {
-                        // The strongest pass failed for real: surface the
-                        // original error rather than masking it with a
-                        // weaker pass's banked answer.
-                        return Err(self.plain_error(a, q));
+                        // The strongest pass failed for real: surface its
+                        // error rather than masking it with a weaker
+                        // pass's banked answer.
+                        return Err(e.clone());
                     }
-                    last_error = Some(msg.clone());
+                    last_error = Some(e.clone());
                 }
                 _ => {}
             }
@@ -504,31 +472,10 @@ impl Evaluator {
                     interrupt,
                 })
             }
-            None => {
-                if last_error.is_some() {
-                    // Every pass that ran failed with a real error;
-                    // surface the original error value.
-                    return Err(self.plain_error(a, q));
-                }
-                Err(Error::Interrupted(
-                    last_trip.unwrap_or_else(|| self.synthetic_trip(&tm)),
-                ))
-            }
-        }
-    }
-
-    /// Re-runs the query through the plain entry point to recover the
-    /// original error value (full passes keep only a rendering).
-    fn plain_error(&self, a: &Structure, q: QueryRef<'_>) -> Error {
-        let r = match q {
-            QueryRef::Sentence(f) => self.check_sentence(a, f).map(|_| ()),
-            QueryRef::Ground(t) => self.eval_ground(a, t).map(|_| ()),
-        };
-        match r {
-            Err(e) => e,
-            Ok(()) => {
-                Error::Unsupported("anytime pass failed but plain evaluation succeeded".into())
-            }
+            // Every pass that ran failed with a real error: surface it.
+            None => Err(last_error.unwrap_or_else(|| {
+                Error::Interrupted(last_trip.unwrap_or_else(|| self.synthetic_trip(&tm)))
+            })),
         }
     }
 
@@ -583,44 +530,13 @@ impl Evaluator {
                 clusters_total: stats.clusters_total,
             },
             Err(e) => PassRun {
-                status: PassStatus::Errored(e.to_string()),
+                status: PassStatus::Errored(e),
                 banked: None,
                 fuel_spent,
                 clusters_done: stats.clusters_done,
                 clusters_total: stats.clusters_total,
             },
         }
-    }
-
-    /// The `sample` pass: reference semantics on a sample of the work,
-    /// guarded by the pass slice.
-    fn sample_pass(
-        &self,
-        a: &Structure,
-        q: QueryRef<'_>,
-        plan: &PassPlan,
-        cfg: &AnytimeConfig,
-    ) -> PassRun {
-        let n = u64::from(a.order());
-        if n == 0 {
-            // Nothing to sample; the full passes handle the degenerate
-            // structure.
-            return PassRun {
-                status: PassStatus::Completed,
-                banked: None,
-                fuel_spent: 0,
-                clusters_done: 0,
-                clusters_total: 0,
-            };
-        }
-        if let QueryRef::Ground(t) = q {
-            if let Term::Count(vars, body) = &**t {
-                if !vars.is_empty() {
-                    return self.sample_count(a, vars, body, plan, cfg);
-                }
-            }
-        }
-        self.sample_induced(a, q, plan, cfg)
     }
 
     /// The `approx` pass: the `(ε, δ)` sampling estimator over the
@@ -632,20 +548,16 @@ impl Evaluator {
     fn approx_pass(
         &self,
         a: &Structure,
-        q: QueryRef<'_>,
+        t: &Arc<Term>,
+        vars: &[Var],
+        body: &Arc<Formula>,
         plan: &PassPlan,
         model: Option<&CostModel>,
     ) -> PassRun {
-        let QueryRef::Ground(t) = q else {
-            unreachable!("approx rung only on ground ladders");
-        };
-        let Term::Count(vars, body) = &**t else {
-            unreachable!("approx rung only on counting terms");
-        };
         let acfg = self.approx_config();
         if let Err(e) = acfg.validate() {
             return PassRun {
-                status: PassStatus::Errored(e.to_string()),
+                status: PassStatus::Errored(e),
                 banked: None,
                 fuel_spent: 0,
                 clusters_done: 0,
@@ -669,7 +581,7 @@ impl Evaluator {
         let status = match out.error {
             None => PassStatus::Completed,
             Some(Error::Interrupted(i)) => PassStatus::Tripped(i),
-            Some(e) => PassStatus::Errored(e.to_string()),
+            Some(e) => PassStatus::Errored(e),
         };
         PassRun {
             status,
@@ -680,20 +592,31 @@ impl Evaluator {
         }
     }
 
-    /// Chunked lower-bound accumulation for a top-level counting term:
-    /// split `#(x₁,…,x_k).φ` by the first counted variable and add up
-    /// per-element sub-counts, each computed exactly over the *full*
-    /// structure — every processed element makes the banked tally a
-    /// sound lower bound, and processing all of them makes it exact.
-    fn sample_count(
+    /// The `sample` pass, guarded by the pass slice: chunked lower-bound
+    /// accumulation for a ground counting term. Splits `#(x₁,…,x_k).φ`
+    /// by the first counted variable and adds up per-element sub-counts,
+    /// each computed exactly over the *full* structure — every processed
+    /// element makes the banked tally a sound lower bound, and
+    /// processing all of them makes it exact.
+    fn sample_pass(
         &self,
         a: &Structure,
-        vars: &[foc_logic::Var],
+        vars: &[Var],
         body: &Arc<Formula>,
         plan: &PassPlan,
-        cfg: &AnytimeConfig,
     ) -> PassRun {
         let n = u64::from(a.order());
+        if n == 0 {
+            // Nothing to sample; the full passes handle the degenerate
+            // structure.
+            return PassRun {
+                status: PassStatus::Completed,
+                banked: None,
+                fuel_spent: 0,
+                clusters_done: 0,
+                clusters_total: 0,
+            };
+        }
         let mut budget = self.budget().clone();
         budget.deadline = plan.deadline;
         budget.fuel = plan.fuel;
@@ -718,7 +641,7 @@ impl Evaluator {
             // chunking and bank what we have (wall-clock slices only —
             // fuel-only budgets stay deterministic).
             if let Some(slice) = plan.deadline {
-                if done >= cfg.min_chunk {
+                if done >= MIN_CHUNK {
                     let projected = t0.elapsed().mul_f64(n as f64 / done as f64);
                     if projected > slice.saturating_mul(2) {
                         status = PassStatus::Aborted;
@@ -741,7 +664,7 @@ impl Evaluator {
                     let err: Error = e.into();
                     status = match err {
                         Error::Interrupted(i) => PassStatus::Tripped(i),
-                        other => PassStatus::Errored(other.to_string()),
+                        other => PassStatus::Errored(other),
                     };
                     break;
                 }
@@ -759,66 +682,6 @@ impl Evaluator {
             fuel_spent: guard.fuel_spent(),
             clusters_done: done,
             clusters_total: n,
-        }
-    }
-
-    /// Induced-prefix sampling for sentences and non-counting terms:
-    /// evaluate on `A[{0,…,k−1}]` and tag the verdict with how much of
-    /// the universe the prefix covered.
-    fn sample_induced(
-        &self,
-        a: &Structure,
-        q: QueryRef<'_>,
-        plan: &PassPlan,
-        cfg: &AnytimeConfig,
-    ) -> PassRun {
-        let n = u64::from(a.order());
-        let k = (((n as f64) * cfg.sample_fraction).ceil() as u64).clamp(1, n);
-        let elems: Vec<u32> = (0..k as u32).collect();
-        let ind = a.induced(&elems);
-        let mut budget = self.budget().clone();
-        budget.deadline = plan.deadline;
-        budget.fuel = plan.fuel;
-        let guard = budget.arm();
-        let mut nev = NaiveEvaluator::new(&ind.structure, self.predicates());
-        nev.set_guard(guard.clone());
-        let r = match q {
-            QueryRef::Sentence(f) => nev.check_sentence(f).map(AnswerValue::Bool),
-            QueryRef::Ground(t) => nev.eval_ground(t).map(AnswerValue::Int),
-        };
-        let fuel_spent = guard.fuel_spent();
-        match r {
-            Ok(v) => {
-                let confidence = if k == n {
-                    Confidence::Exact
-                } else {
-                    Confidence::Partial {
-                        clusters_done: k,
-                        clusters_total: n,
-                    }
-                };
-                PassRun {
-                    status: PassStatus::Completed,
-                    banked: Some((v, confidence)),
-                    fuel_spent,
-                    clusters_done: k,
-                    clusters_total: n,
-                }
-            }
-            Err(e) => {
-                let err: Error = e.into();
-                let status = match err {
-                    Error::Interrupted(i) => PassStatus::Tripped(i),
-                    other => PassStatus::Errored(other.to_string()),
-                };
-                PassRun {
-                    status,
-                    banked: None,
-                    fuel_spent,
-                    clusters_done: 0,
-                    clusters_total: n,
-                }
-            }
         }
     }
 }
@@ -857,9 +720,7 @@ mod tests {
             .build()
             .unwrap();
         let exact = ev.eval_ground(&a, &t).unwrap();
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         assert_eq!(out.value, exact);
         assert!(out.confidence.is_exact());
         assert!(out.interrupt.is_none());
@@ -880,9 +741,7 @@ mod tests {
             .unwrap()
             .eval_ground(&a, &t)
             .unwrap();
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         assert_eq!(out.value, exact);
         assert!(out.confidence.is_exact(), "got {:?}", out.confidence);
     }
@@ -907,9 +766,7 @@ mod tests {
         // Anytime evaluation banks a guaranteed answer instead: either
         // a sound lower bound or an ε-bounded estimate, depending on
         // which rung the fuel stretched to.
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         assert!(!out.confidence.is_exact());
         match out.confidence {
             Confidence::LowerBound => {
@@ -942,8 +799,7 @@ mod tests {
                 .fuel(1_500)
                 .build()
                 .unwrap();
-            ev.eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-                .unwrap()
+            ev.eval_ground_anytime(&a, &t, None, None).unwrap()
         };
         let o1 = run();
         let o2 = run();
@@ -952,34 +808,36 @@ mod tests {
     }
 
     #[test]
-    fn sentence_sample_is_partial() {
-        let a = path(40);
+    fn sentences_never_guess() {
+        // Whatever the engine and however tight the fuel, a sentence is
+        // answered exactly (with the oracle's verdict) or not at all.
         let x = v("sx");
         let y = v("sy");
-        let f = exists(x, exists(y, atom("E", [x, y])));
-        let ev = Evaluator::builder()
-            .kind(EngineKind::Local)
-            .fuel(2_000)
-            .build()
-            .unwrap();
-        let out = ev
-            .check_sentence_anytime(&a, &f, &AnytimeConfig::default(), None, None)
-            .unwrap();
-        // The sample pass decided on a prefix; either it reached exact
-        // via a full pass or stayed partial, but the verdict must be the
-        // true one here (a path has edges everywhere).
-        assert!(out.value);
-        match out.confidence {
-            Confidence::Exact => {}
-            Confidence::Partial {
-                clusters_done,
-                clusters_total,
-            } => {
-                assert!(clusters_done >= 1);
-                assert_eq!(clusters_total, 40);
+        let far = foc_logic::parse::parse_formula("#(x,y). !(dist(x,y) <= 2) >= 100000").unwrap();
+        let cases = [
+            (grid(32, 32), far),
+            (path(40), exists(x, exists(y, atom("E", [x, y])))),
+        ];
+        for (a, f) in &cases {
+            let oracle = Evaluator::builder()
+                .kind(EngineKind::Local)
+                .build()
+                .unwrap()
+                .check_sentence(a, f)
+                .unwrap();
+            for kind in [EngineKind::Naive, EngineKind::Local, EngineKind::Cover] {
+                for fuel in [50, 2_000, 300_000] {
+                    let ev = Evaluator::builder().kind(kind).fuel(fuel).build().unwrap();
+                    match ev.check_sentence_anytime(a, f, None, None) {
+                        Ok(out) => {
+                            assert_eq!(out.confidence, Confidence::Exact, "{kind:?} fuel {fuel}");
+                            assert_eq!(out.value, oracle, "{kind:?} fuel {fuel}");
+                        }
+                        Err(Error::Interrupted(_)) => {}
+                        Err(e) => panic!("{kind:?} fuel {fuel}: {e}"),
+                    }
+                }
             }
-            Confidence::LowerBound => panic!("sentences never tag lower_bound"),
-            Confidence::Approximate { .. } => panic!("sentences never tag approx"),
         }
     }
 
@@ -1002,9 +860,7 @@ mod tests {
             .fuel(60_000)
             .build()
             .unwrap();
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         if let Confidence::Approximate { error_bound } = out.confidence {
             assert!(error_bound > 0);
             assert!(
@@ -1022,7 +878,7 @@ mod tests {
             // tag without a bound or an unsound one (checked above).
             assert!(matches!(
                 out.confidence,
-                Confidence::Exact | Confidence::LowerBound | Confidence::Partial { .. }
+                Confidence::Exact | Confidence::LowerBound
             ));
         }
     }
@@ -1050,8 +906,7 @@ mod tests {
             .unwrap();
         let mut seen: Vec<&'static str> = Vec::new();
         let mut cb = |r: &PassReport| seen.push(r.pass.name());
-        ev.eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, Some(&mut cb))
-            .unwrap();
+        ev.eval_ground_anytime(&a, &t, None, Some(&mut cb)).unwrap();
         assert!(!seen.is_empty());
         let order = ["sample", "approx", "local", "exact"];
         let mut last = 0;

@@ -84,29 +84,8 @@ pub enum DegradePolicy {
     /// strategy, recording each step in the `engine.degrade.*` counters.
     #[default]
     FallThrough,
-    /// One rung below [`FallThrough`] on the robustness ladder (and one
-    /// above load shedding in the serving stack): capability errors
-    /// fall through exactly as under `FallThrough`, *and* the caller
-    /// has opted into anytime evaluation — budget trips should yield a
-    /// tagged best-so-far answer (see [`crate::anytime`]) instead of
-    /// [`Error::Interrupted`]. The deepening entry points honour the
-    /// opt-in; the plain entry points behave as `FallThrough`.
-    Anytime,
     /// Surface the first capability error instead of degrading.
     Strict,
-}
-
-impl DegradePolicy {
-    /// Whether capability errors walk down the engine ladder.
-    pub fn falls_through(self) -> bool {
-        !matches!(self, DegradePolicy::Strict)
-    }
-
-    /// Whether the caller opted into best-so-far answers on budget
-    /// trips.
-    pub fn is_anytime(self) -> bool {
-        matches!(self, DegradePolicy::Anytime)
-    }
 }
 
 /// Per-phase wall time of one evaluation session.
@@ -754,9 +733,27 @@ impl<'a> Session<'a> {
         r
     }
 
-    /// Whether capability errors surface instead of degrading.
-    fn strict(&self) -> bool {
-        self.ev.config.degrade == DegradePolicy::Strict
+    /// One step down the degradation ladder: a capability error under
+    /// [`DegradePolicy::FallThrough`] is counted and noted in the span
+    /// tree, and the caller retries with the next simpler strategy
+    /// (`rung`: `Local` or `Naive`). Any other error surfaces.
+    fn degrade(&self, err: Error, rung: EngineKind) -> Result<()> {
+        if !err.is_degradable() || self.ev.config.degrade == DegradePolicy::Strict {
+            return Err(err);
+        }
+        let label = match rung {
+            EngineKind::Local => {
+                self.metrics.degrade_local.inc();
+                "local"
+            }
+            _ => {
+                self.metrics.degrade_naive.inc();
+                self.metrics.fallbacks.inc();
+                "naive"
+            }
+        };
+        self.root.record_text("degrade", format!("{label}: {err}"));
+        Ok(())
     }
 
     /// Model checking of a sentence. The decomposing engines require
@@ -1021,13 +1018,7 @@ impl<'a> Session<'a> {
                 Ok(ev.check_sentence(&resolved)?)
             }
             Err(e) => {
-                let err: Error = e.into();
-                if !err.is_degradable() || self.strict() {
-                    return Err(err);
-                }
-                self.metrics.fallbacks.inc();
-                self.metrics.degrade_naive.inc();
-                self.root.record_text("degrade", format!("naive: {err}"));
+                self.degrade(e.into(), EngineKind::Naive)?;
                 let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
                 ev.set_guard(self.guard.clone());
                 Ok(ev.check_sentence(f)?)
@@ -1121,13 +1112,7 @@ impl<'a> Session<'a> {
                 Ok(v)
             }
             Err(e) => {
-                let err: Error = e.into();
-                if !err.is_degradable() || self.strict() {
-                    return Err(err);
-                }
-                self.metrics.fallbacks.inc();
-                self.metrics.degrade_naive.inc();
-                self.root.record_text("degrade", format!("naive: {err}"));
+                self.degrade(e.into(), EngineKind::Naive)?;
                 self.eval_count_naive(counted, &resolved, x)
             }
         }
@@ -1210,25 +1195,9 @@ impl<'a> Session<'a> {
         let handle = span.handle();
         let t0 = Instant::now();
         let out = match self.ev.config.kind {
-            EngineKind::Naive => {
-                // Reference-semantics evaluation of a decomposed term —
-                // only reached from the enumeration preprocessing (the
-                // main naive paths never decompose).
-                let has_unary = cl.basics().iter().any(|b| b.unary);
-                if has_unary {
-                    let mut out = Vec::with_capacity(self.a.order() as usize);
-                    for e in self.a.universe() {
-                        out.push(cl.eval_naive(&self.a, &self.ev.preds, Some(e))?);
-                    }
-                    Ok(ClValue::Vector(out))
-                } else {
-                    Ok(ClValue::Scalar(cl.eval_naive(
-                        &self.a,
-                        &self.ev.preds,
-                        None,
-                    )?))
-                }
-            }
+            // Only reached from the enumeration preprocessing: the main
+            // naive paths never decompose.
+            EngineKind::Naive => self.eval_clterm_reference(cl),
             EngineKind::Local => {
                 let mut lev = self.local_evaluator(handle.clone());
                 Ok(lev.eval_clterm(cl)?)
@@ -1296,22 +1265,12 @@ impl<'a> Session<'a> {
     /// capability errors walk down; under [`DegradePolicy::Strict`] the
     /// original error surfaces instead.
     fn degrade_clterm(&mut self, cl: &ClTerm, err: Error, handle: SpanHandle) -> Result<ClValue> {
-        if !err.is_degradable() || self.strict() {
-            return Err(err);
-        }
-        self.metrics.degrade_local.inc();
-        self.root.record_text("degrade", format!("local: {err}"));
-        let mut lev = self.local_evaluator(handle);
-        match lev.eval_clterm(cl) {
+        self.degrade(err, EngineKind::Local)?;
+        let r = self.local_evaluator(handle).eval_clterm(cl);
+        match r {
             Ok(v) => Ok(v),
             Err(e) => {
-                let err2: Error = e.into();
-                if !err2.is_degradable() || self.strict() {
-                    return Err(err2);
-                }
-                self.metrics.degrade_naive.inc();
-                self.metrics.fallbacks.inc();
-                self.root.record_text("degrade", format!("naive: {err2}"));
+                self.degrade(e.into(), EngineKind::Naive)?;
                 self.eval_clterm_reference(cl)
             }
         }

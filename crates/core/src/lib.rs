@@ -41,9 +41,7 @@ pub mod sql;
 pub mod value;
 
 pub use aggregate::{AvgResult, SumAggregate, Weights};
-pub use anytime::{
-    AnswerValue, Anytime, AnytimeConfig, CostModel, PassKind, PassReport, PassStatus,
-};
+pub use anytime::{AnswerValue, Anytime, CostModel, PassKind, PassReport, PassStatus};
 pub use approx::{sample_size, ApproxConfig, ApproxValue};
 pub use dynamic::{EdgeUpdate, MaintainedTerm};
 pub use engine::{

@@ -99,8 +99,8 @@ pub struct CoverStats {
     /// progress reporting.
     pub clusters_total: u64,
     /// Top-level clusters fully evaluated (all recursive work under
-    /// them included). Numerator for `partial{clusters_done,
-    /// clusters_total}` when the run is interrupted.
+    /// them included). Numerator for anytime progress reporting when
+    /// the run is interrupted.
     pub clusters_done: u64,
     /// Removal surgeries performed.
     pub removals: u64,

@@ -5,17 +5,12 @@
 //! those promises against the unbounded naive oracle:
 //!
 //! * `exact` answers must equal the oracle bit-for-bit;
+//! * a sentence's verdict must be `exact` — a Boolean is never
+//!   guessed;
 //! * `approx` answers must land within their own claimed
 //!   `error_bound` of the oracle — the `(ε, δ)` estimator's whole
 //!   value proposition is that the bound it ships is real;
-//! * `lower_bound` answers must never exceed the oracle — integers
-//!   ordered numerically, Booleans by `false < true` (a banked `true`
-//!   came from a witness verified against the full structure, so the
-//!   oracle must also be `true`);
-//! * `partial` answers with `clusters_done == clusters_total` covered
-//!   the whole problem and must equal the oracle; an *incomplete*
-//!   partial is unconstrained in value (it was computed on an induced
-//!   substructure) but must honestly report `done < total`.
+//! * `lower_bound` answers must never exceed the oracle.
 //!
 //! A run that ends in `Interrupted` banked nothing, which is always
 //! acceptable; any other error where the oracle produced a value is a
@@ -41,6 +36,9 @@ pub fn contract_violation(
 ) -> Option<String> {
     match confidence {
         Confidence::Exact => (got != oracle).then(|| format!("exact answer {got} != oracle")),
+        _ if matches!(got, Outcome::Bool(_)) => {
+            Some(format!("verdict {got} tagged {confidence}, not exact"))
+        }
         Confidence::Approximate { error_bound } => match (oracle, got) {
             (Outcome::Int(o), Outcome::Int(g)) => (g.abs_diff(*o) > *error_bound)
                 .then(|| format!("approx estimate {g} strays past ±{error_bound} of oracle {o}")),
@@ -52,29 +50,10 @@ pub fn contract_violation(
             (Outcome::Int(o), Outcome::Int(g)) => {
                 (g > o).then(|| format!("lower bound {g} exceeds oracle {o}"))
             }
-            (Outcome::Bool(o), Outcome::Bool(g)) => {
-                (*g && !*o).then(|| "lower bound true against a false oracle".to_string())
-            }
             _ => Some(format!(
                 "lower bound {got} incomparable with oracle {oracle}"
             )),
         },
-        Confidence::Partial {
-            clusters_done,
-            clusters_total,
-        } => {
-            if clusters_done > clusters_total {
-                return Some(format!(
-                    "partial progress {clusters_done}/{clusters_total} overshoots"
-                ));
-            }
-            if clusters_done == clusters_total && got != oracle {
-                return Some(format!(
-                    "complete partial ({clusters_done}/{clusters_total}) answer {got} != oracle"
-                ));
-            }
-            None
-        }
     }
 }
 
@@ -135,20 +114,15 @@ pub fn run_anytime_battery(case: &Case) -> (Outcome, Vec<Divergence>) {
 /// One anytime evaluation, folded into the comparable outcome taxonomy
 /// plus the confidence tag the driver attached (absent on errors).
 fn anytime_outcome(ev: &Evaluator, case: &Case) -> (Outcome, Option<Confidence>) {
-    let cfg = foc_core::AnytimeConfig::default();
     match &case.query {
-        QueryCase::Sentence(f) => {
-            match ev.check_sentence_anytime(&case.structure, f, &cfg, None, None) {
-                Ok(out) => (Outcome::Bool(out.value), Some(out.confidence)),
-                Err(e) => (Outcome::Err(classify(&e)), None),
-            }
-        }
-        QueryCase::Ground(t) => {
-            match ev.eval_ground_anytime(&case.structure, t, &cfg, None, None) {
-                Ok(out) => (Outcome::Int(out.value), Some(out.confidence)),
-                Err(e) => (Outcome::Err(classify(&e)), None),
-            }
-        }
+        QueryCase::Sentence(f) => match ev.check_sentence_anytime(&case.structure, f, None, None) {
+            Ok(out) => (Outcome::Bool(out.value), Some(out.confidence)),
+            Err(e) => (Outcome::Err(classify(&e)), None),
+        },
+        QueryCase::Ground(t) => match ev.eval_ground_anytime(&case.structure, t, None, None) {
+            Ok(out) => (Outcome::Int(out.value), Some(out.confidence)),
+            Err(e) => (Outcome::Err(classify(&e)), None),
+        },
     }
 }
 
@@ -164,18 +138,9 @@ mod tests {
         assert!(contract_violation(&o, &Outcome::Int(10), &Confidence::Exact).is_none());
         assert!(contract_violation(&o, &Outcome::Int(7), &Confidence::LowerBound).is_none());
         assert!(contract_violation(
-            &o,
-            &Outcome::Int(3),
-            &Confidence::Partial {
-                clusters_done: 2,
-                clusters_total: 5
-            }
-        )
-        .is_none());
-        assert!(contract_violation(
             &Outcome::Bool(true),
-            &Outcome::Bool(false),
-            &Confidence::LowerBound
+            &Outcome::Bool(true),
+            &Confidence::Exact
         )
         .is_none());
         // Approx answers may miss by up to their claimed bound, in
@@ -195,32 +160,14 @@ mod tests {
         let o = Outcome::Int(10);
         assert!(contract_violation(&o, &Outcome::Int(9), &Confidence::Exact).is_some());
         assert!(contract_violation(&o, &Outcome::Int(11), &Confidence::LowerBound).is_some());
-        // A "complete" partial must match the oracle…
-        assert!(contract_violation(
-            &o,
-            &Outcome::Int(9),
-            &Confidence::Partial {
-                clusters_done: 5,
-                clusters_total: 5
-            }
-        )
-        .is_some());
-        // …and progress can never overshoot the total.
-        assert!(contract_violation(
-            &o,
-            &Outcome::Int(9),
-            &Confidence::Partial {
-                clusters_done: 6,
-                clusters_total: 5
-            }
-        )
-        .is_some());
-        assert!(contract_violation(
-            &Outcome::Bool(false),
-            &Outcome::Bool(true),
-            &Confidence::LowerBound
-        )
-        .is_some());
+        // A verdict is exact or not given: even a correct Boolean with
+        // a sub-exact tag breaks the contract.
+        for c in [
+            Confidence::LowerBound,
+            Confidence::Approximate { error_bound: 3 },
+        ] {
+            assert!(contract_violation(&Outcome::Bool(true), &Outcome::Bool(true), &c).is_some());
+        }
         // An approx estimate outside its own claimed bound is the
         // shrinkable divergence class the tolerance-aware oracle hunts.
         assert!(contract_violation(

@@ -6,10 +6,9 @@
 //! graph, so every layer (serve frames, diff comparison, CLI rendering)
 //! speaks the same language without depending on the engine:
 //!
-//! * [`Confidence`] — how much an answer is worth: `exact`, a sound
-//!   `lower_bound`, or `partial` progress over a known number of work
-//!   units ("clusters" in the cover engine's sense — for the chunked
-//!   sample pass each element is its own unit cluster);
+//! * [`Confidence`] — how much an answer is worth: `exact`, an
+//!   `(ε, δ)` estimate with an explicit error bound, or a sound
+//!   `lower_bound`;
 //! * [`TimeManager`] — splits one request budget (deadline and/or
 //!   fuel) across the passes, using per-pass cost estimates fed back
 //!   from observed history, and decides when a pass is not worth
@@ -41,26 +40,15 @@ pub enum Confidence {
     /// the *full* structure, but enumeration stopped early, so the true
     /// value can only be larger.
     LowerBound,
-    /// An answer computed from a completed subset of the work units.
-    /// When `clusters_done == clusters_total` the subset was the whole
-    /// problem and the answer is exact-equivalent.
-    Partial {
-        /// Work units completed before the budget intervened.
-        clusters_done: u64,
-        /// Total work units the full computation would process.
-        clusters_total: u64,
-    },
 }
 
 impl Confidence {
-    /// The wire tag: `"exact"`, `"approx"`, `"lower_bound"` or
-    /// `"partial"`.
+    /// The wire tag: `"exact"`, `"approx"` or `"lower_bound"`.
     pub fn tag(&self) -> &'static str {
         match self {
             Confidence::Exact => "exact",
             Confidence::Approximate { .. } => "approx",
             Confidence::LowerBound => "lower_bound",
-            Confidence::Partial { .. } => "partial",
         }
     }
 
@@ -69,43 +57,13 @@ impl Confidence {
         matches!(self, Confidence::Exact)
     }
 
-    /// Whether the answer covered the whole problem: exact, or partial
-    /// with every work unit done.
-    pub fn is_complete(&self) -> bool {
-        match self {
-            Confidence::Exact => true,
-            Confidence::Approximate { .. } => false,
-            Confidence::LowerBound => false,
-            Confidence::Partial {
-                clusters_done,
-                clusters_total,
-            } => clusters_done == clusters_total && *clusters_total > 0,
-        }
-    }
-
     /// A strict ordering of usefulness: exact beats an ε-bounded
-    /// estimate beats lower-bound beats partial, and among partials
-    /// more coverage beats less.
-    pub fn rank(&self) -> u64 {
+    /// estimate beats a lower bound.
+    pub fn rank(&self) -> u8 {
         match self {
-            Confidence::Exact => u64::MAX,
-            Confidence::Approximate { .. } => u64::MAX - 1,
-            Confidence::LowerBound => u64::MAX - 2,
-            Confidence::Partial {
-                clusters_done,
-                clusters_total,
-            } => {
-                if *clusters_total == 0 {
-                    0
-                } else {
-                    // Clamp coverage to the total — a buggy reporter
-                    // claiming done > total must never outrank the
-                    // structured tags above — then scale it into
-                    // [0, 2^32) so it stays below the lower-bound rank.
-                    let done = (*clusters_done).min(*clusters_total);
-                    (done.saturating_mul(u64::from(u32::MAX))) / clusters_total
-                }
-            }
+            Confidence::Exact => 2,
+            Confidence::Approximate { .. } => 1,
+            Confidence::LowerBound => 0,
         }
     }
 }
@@ -116,10 +74,6 @@ impl fmt::Display for Confidence {
             Confidence::Exact => write!(f, "exact"),
             Confidence::Approximate { error_bound } => write!(f, "approx(±{error_bound})"),
             Confidence::LowerBound => write!(f, "lower_bound"),
-            Confidence::Partial {
-                clusters_done,
-                clusters_total,
-            } => write!(f, "partial({clusters_done}/{clusters_total})"),
         }
     }
 }
@@ -284,82 +238,13 @@ mod tests {
 
     #[test]
     fn tags_and_ranks() {
-        let p = Confidence::Partial {
-            clusters_done: 3,
-            clusters_total: 7,
-        };
         let ap = Confidence::Approximate { error_bound: 12 };
         assert_eq!(Confidence::Exact.tag(), "exact");
         assert_eq!(ap.tag(), "approx");
         assert_eq!(ap.to_string(), "approx(±12)");
         assert_eq!(Confidence::LowerBound.tag(), "lower_bound");
-        assert_eq!(p.tag(), "partial");
-        assert_eq!(p.to_string(), "partial(3/7)");
         assert!(Confidence::Exact.rank() > ap.rank());
         assert!(ap.rank() > Confidence::LowerBound.rank());
-        assert!(Confidence::LowerBound.rank() > p.rank());
-        let q = Confidence::Partial {
-            clusters_done: 6,
-            clusters_total: 7,
-        };
-        assert!(q.rank() > p.rank());
-    }
-
-    #[test]
-    fn rank_is_monotone_and_bounded() {
-        // Property sweep: over a grid of (done, total) pairs — including
-        // buggy reporters claiming done > total — the partial rank is
-        // monotone in coverage and strictly below every structured tag.
-        let totals = [0u64, 1, 2, 7, 1_000, u64::MAX / 2, u64::MAX];
-        let dones = [0u64, 1, 3, 999, u64::MAX / 2, u64::MAX - 1, u64::MAX];
-        for &total in &totals {
-            let mut last = 0u64;
-            for &done in &dones {
-                let r = Confidence::Partial {
-                    clusters_done: done,
-                    clusters_total: total,
-                }
-                .rank();
-                assert!(r >= last, "rank not monotone at {done}/{total}");
-                assert!(
-                    r < Confidence::LowerBound.rank(),
-                    "partial({done}/{total}) outranks lower_bound"
-                );
-                assert!(r <= u64::from(u32::MAX), "rank unbounded at {done}/{total}");
-                last = r;
-            }
-        }
-        // The overshooting reporter saturates at full coverage, no more.
-        let over = Confidence::Partial {
-            clusters_done: 10,
-            clusters_total: 7,
-        };
-        let full = Confidence::Partial {
-            clusters_done: 7,
-            clusters_total: 7,
-        };
-        assert_eq!(over.rank(), full.rank());
-    }
-
-    #[test]
-    fn completeness() {
-        assert!(Confidence::Exact.is_complete());
-        assert!(!Confidence::LowerBound.is_complete());
-        assert!(Confidence::Partial {
-            clusters_done: 7,
-            clusters_total: 7
-        }
-        .is_complete());
-        assert!(!Confidence::Partial {
-            clusters_done: 6,
-            clusters_total: 7
-        }
-        .is_complete());
-        assert!(!Confidence::Partial {
-            clusters_done: 0,
-            clusters_total: 0
-        }
-        .is_complete());
     }
 
     #[test]
@@ -404,7 +289,7 @@ mod tests {
 
     #[test]
     fn final_pass_is_never_projection_skipped() {
-        // The p95 estimate dwarfs the remaining budget, yet the final
+        // The p75 estimate dwarfs the remaining budget, yet the final
         // pass must still be planned — with everything that remains.
         let tm = TimeManager::new(Some(Duration::from_millis(10)), Some(100_000));
         let plan = tm

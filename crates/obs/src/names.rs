@@ -184,7 +184,7 @@ pub const ENGINE_APPROX_ERROR_BOUND: &str = "engine.approx.error_bound";
 /// denominator). Counter.
 pub const COVER_CLUSTERS_TOTAL: &str = "cover.clusters_total";
 /// Top-level clusters fully evaluated (the anytime progress
-/// numerator for `partial{clusters_done, clusters_total}`). Counter.
+/// numerator of a pass report). Counter.
 pub const COVER_CLUSTERS_DONE: &str = "cover.clusters_done";
 /// Anytime requests served (proto 2 `anytime: true`, or forced by the
 /// pressure ladder's anytime rung). Counter.

@@ -43,9 +43,9 @@
 //! * **Anytime evaluation** — proto-2 requests with `"anytime":true`
 //!   run through the deepening driver ([`foc_core::anytime`]): each
 //!   completed pass streams a `partial` frame and the terminal result
-//!   carries a confidence tag (`exact` / `lower_bound` / `partial`),
-//!   so a tripped budget returns the best-so-far answer instead of an
-//!   `interrupted` error. The memory-pressure ladder also *forces*
+//!   carries a confidence tag (`exact` / `approx` / `lower_bound`),
+//!   so a tripped budget on a counting query returns the best-so-far
+//!   answer instead of an `interrupted` error. The memory-pressure ladder also *forces*
 //!   anytime mode one rung before shedding — degraded answers beat
 //!   refusals;
 //! * **Crash-safe durability** — with `ServerConfig::wal_dir` set,

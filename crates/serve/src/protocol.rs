@@ -42,14 +42,13 @@
 //!
 //! * `{"type":"partial", "proto":2, "id":…, "trace_id":…, "mode":…,
 //!   "pass":"sample"|"approx"|"local"|"exact", "value":…,
-//!   "confidence":"exact"|"approx"|"lower_bound"|"partial"
-//!   [,"approx":true,"error_bound":…] [,"clusters_done":…,
-//!   "clusters_total":…], "micros":…}` — one frame per deepening pass
-//!   that banked an answer, streamed while evaluation continues;
+//!   "confidence":"exact"|"approx"|"lower_bound"
+//!   [,"approx":true,"error_bound":…], "micros":…}` — one frame per
+//!   deepening pass that banked an answer, streamed while evaluation
+//!   continues;
 //! * the terminal `result` frame of an anytime request additionally
-//!   carries the same `confidence` (and, for `"partial"`, progress)
-//!   fields — the best-so-far answer when the budget tripped, tagged
-//!   instead of discarded;
+//!   carries the same `confidence` fields — the best-so-far answer
+//!   when the budget tripped, tagged instead of discarded;
 //! * an `eval` request with `"approx":true` (proto 2) runs the `(ε, δ)`
 //!   estimator instead of an exact engine; its `result` frame carries
 //!   `"confidence":"approx","approx":true,"error_bound":…` — the
@@ -346,19 +345,12 @@ pub fn parse_request(line: &str) -> Result<Request, ParseFailure> {
 }
 
 /// Renders the confidence fields shared by `partial` and anytime
-/// `result` frames: `"confidence":…` plus, for partial coverage, the
-/// progress pair.
+/// `result` frames: `"confidence":…` plus, for an estimate, its bound.
 fn confidence_fields(c: &Confidence) -> String {
     match c {
-        Confidence::Partial {
-            clusters_done,
-            clusters_total,
-        } => format!(
-            ",\"confidence\":\"partial\",\"clusters_done\":{clusters_done},\"clusters_total\":{clusters_total}"
-        ),
-        Confidence::Approximate { error_bound } => format!(
-            ",\"confidence\":\"approx\",\"approx\":true,\"error_bound\":{error_bound}"
-        ),
+        Confidence::Approximate { error_bound } => {
+            format!(",\"confidence\":\"approx\",\"approx\":true,\"error_bound\":{error_bound}")
+        }
         other => format!(",\"confidence\":\"{}\"", other.tag()),
     }
 }
@@ -616,16 +608,12 @@ mod tests {
             "t9",
             Mode::Eval,
             Answer::Int(41),
-            &Confidence::Partial {
-                clusters_done: 3,
-                clusters_total: 7,
-            },
+            &Confidence::LowerBound,
             5,
             990,
         );
-        assert!(r.contains("\"confidence\":\"partial\""));
-        assert!(r.contains("\"clusters_done\":3"));
-        assert!(r.contains("\"clusters_total\":7"));
+        assert!(r.contains("\"confidence\":\"lower_bound\""));
+        assert!(!r.contains("clusters_done"));
         assert!(r.contains("\"proto\":2"));
         let exact = anytime_result_frame(
             1,

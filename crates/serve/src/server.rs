@@ -35,8 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
 use foc_core::{
-    AnswerValue, AnytimeConfig, ApproxConfig, Confidence, CostModel, DegradePolicy, EngineKind,
-    Error, Evaluator, PassReport,
+    AnswerValue, ApproxConfig, Confidence, CostModel, EngineKind, Error, Evaluator, PassReport,
 };
 use foc_covers::CoverStore;
 use foc_guard::{Budget, CancelToken, MemoryMeter, TraceContext, TripReason};
@@ -1270,11 +1269,6 @@ fn evaluate_request(
     let mut builder = Evaluator::builder()
         .kind(req.engine.unwrap_or(cfg.engine))
         .threads(cfg.threads)
-        .degrade(if anytime {
-            DegradePolicy::Anytime
-        } else {
-            DegradePolicy::FallThrough
-        })
         .budget(budget)
         .fault_panic_element(cfg.fault_panic_element);
     if req.approx {
@@ -1479,7 +1473,6 @@ fn run_query_anytime(
     tc: &TraceContext,
     emit: &mut dyn FnMut(&str),
 ) -> Result<(Answer, Confidence), RequestError> {
-    let cfg = AnytimeConfig::default();
     let stream = req.proto >= PROTO_PROGRESSIVE;
     let m = &shared.metrics;
     let mut on_pass = |r: &PassReport| {
@@ -1506,13 +1499,13 @@ fn run_query_anytime(
     match req.mode {
         Mode::Check => {
             let f = parse_formula(&req.query).map_err(|e| RequestError::Parse(e.to_string()))?;
-            ev.check_sentence_anytime(a, &f, &cfg, Some(&shared.cost_model), Some(&mut on_pass))
+            ev.check_sentence_anytime(a, &f, Some(&shared.cost_model), Some(&mut on_pass))
                 .map(|out| (Answer::Bool(out.value), out.confidence))
                 .map_err(RequestError::Engine)
         }
         Mode::Eval => {
             let t = parse_term(&req.query).map_err(|e| RequestError::Parse(e.to_string()))?;
-            ev.eval_ground_anytime(a, &t, &cfg, Some(&shared.cost_model), Some(&mut on_pass))
+            ev.eval_ground_anytime(a, &t, Some(&shared.cost_model), Some(&mut on_pass))
                 .map(|out| (Answer::Int(out.value), out.confidence))
                 .map_err(RequestError::Engine)
         }
