@@ -18,11 +18,9 @@
 //! | E10 | Lemmas 7.8/7.9 — the Removal Lemma |
 //! | E11 | ablations of this implementation's design choices |
 //! | E12 | parallel cluster evaluation — thread sweep + BENCH_parallel.json |
-//! | E13 | service mode under load — loopback stress + BENCH_serve.json; E13b telemetry on/off overhead + BENCH_telemetry.json |
 //! | E14 | live updates — delta maintenance vs rebuild + BENCH_updates.json |
 //! | E15 | anytime evaluation — quality vs budget curve + BENCH_anytime.json |
 //! | E16 | approximate counting — speedup vs epsilon + BENCH_approx.json |
-//! | E17 | WAL durability — durable-ack overhead and recovery time + BENCH_wal.json |
 //!
 //! Run them with `cargo run --release -p foc-bench --bin experiments -- all`
 //! (or a subset, e.g. `e3 e6 --quick`).
@@ -38,15 +36,13 @@ pub mod exp_hardness;
 pub mod exp_parallel;
 pub mod exp_removal;
 pub mod exp_scaling;
-pub mod exp_serve;
 pub mod exp_sql;
 pub mod exp_updates;
-pub mod exp_wal;
 pub mod table;
 
 use table::Table;
 
-/// Runs one experiment by id (`"e1"` … `"e10"`).
+/// Runs one experiment by id (`"e1"` … `"e16"`; see [`ALL_EXPERIMENTS`]).
 pub fn run_experiment(id: &str, quick: bool) -> Option<Vec<Table>> {
     match id {
         "e1" => Some(exp_hardness::e1(quick)),
@@ -61,17 +57,14 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<Vec<Table>> {
         "e10" => Some(exp_removal::e10(quick)),
         "e11" => Some(exp_ablation::e11(quick)),
         "e12" => Some(exp_parallel::e12(quick)),
-        "e13" => Some(exp_serve::e13(quick)),
         "e14" => Some(exp_updates::e14(quick)),
         "e15" => Some(exp_anytime::e15(quick)),
         "e16" => Some(exp_approx::e16(quick)),
-        "e17" => Some(exp_wal::e17(quick)),
         _ => None,
     }
 }
 
 /// All experiment ids in order.
-pub const ALL_EXPERIMENTS: [&str; 17] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17",
+pub const ALL_EXPERIMENTS: [&str; 15] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e14", "e15", "e16",
 ];

@@ -70,7 +70,9 @@ use std::time::Duration;
 use foc_core::{DegradePolicy, EngineKind, EngineStats, Evaluator, Session};
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_logic::Var;
-use foc_obs::{build_tree, render_metrics_table, render_tree, session_json, MemorySink, Sink};
+use foc_obs::{
+    build_tree, render_metrics_table, render_tree, session_json, MemorySink, Sink, StderrSink,
+};
 use foc_structures::gen as generators;
 use foc_structures::io::{parse_structure, write_structure};
 use foc_structures::Structure;
@@ -293,10 +295,10 @@ fn engine_with_sink(args: &[String], sink: Option<Arc<dyn Sink>>) -> CliResult<E
             .map_err(|_| CliError::usage(format!("invalid --threads {v:?}")))?,
         None => 1,
     };
-    let mut b = Evaluator::builder()
-        .kind(kind)
-        .threads(threads)
-        .trace(has_flag(args, "--trace"));
+    let mut b = Evaluator::builder().kind(kind).threads(threads);
+    if has_flag(args, "--trace") {
+        b = b.sink(Arc::new(StderrSink));
+    }
     if let Some(v) = flag_value(args, "--timeout") {
         let ms: u64 = v
             .parse()
@@ -442,13 +444,16 @@ fn anytime_table(passes: &[foc_core::PassReport]) -> String {
             .confidence
             .map(|c| c.to_string())
             .unwrap_or_else(|| "-".to_string());
+        let progress = if p.clusters_total == 0 {
+            "-".to_string()
+        } else {
+            format!("{}/{}", p.clusters_done, p.clusters_total)
+        };
         s.push_str(&format!(
-            "{:<7} {status:<20} {value:>5}  {confidence:<14} {:>7} {:>9}  {}/{}\n",
+            "{:<7} {status:<20} {value:>5}  {confidence:<14} {:>7} {:>9}  {progress}\n",
             p.pass.name(),
             p.micros,
             p.fuel_spent,
-            p.clusters_done,
-            p.clusters_total,
         ));
     }
     s

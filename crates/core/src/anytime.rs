@@ -129,8 +129,8 @@ pub struct PassReport {
     pub micros: u64,
     /// Fuel the pass spent.
     pub fuel_spent: u64,
-    /// Work units completed (sample elements, estimator samples, or
-    /// top-level cover clusters for a full pass).
+    /// Work units completed: sample elements or estimator samples. A
+    /// full (`local`/`exact`) pass reports 0 of 0.
     pub clusters_done: u64,
     /// Total work units of the pass.
     pub clusters_total: u64,
@@ -512,30 +512,17 @@ impl Evaluator {
             QueryRef::Sentence(f) => session.check_sentence(f).map(AnswerValue::Bool),
             QueryRef::Ground(t) => session.eval_ground(t).map(AnswerValue::Int),
         };
-        let stats = session.stats();
-        let fuel_spent = session.fuel_spent();
-        match r {
-            Ok(v) => PassRun {
-                status: PassStatus::Completed,
-                banked: Some((v, Confidence::Exact)),
-                fuel_spent,
-                clusters_done: stats.clusters_done,
-                clusters_total: stats.clusters_total,
-            },
-            Err(Error::Interrupted(i)) => PassRun {
-                status: PassStatus::Tripped(i),
-                banked: None,
-                fuel_spent,
-                clusters_done: stats.clusters_done,
-                clusters_total: stats.clusters_total,
-            },
-            Err(e) => PassRun {
-                status: PassStatus::Errored(e),
-                banked: None,
-                fuel_spent,
-                clusters_done: stats.clusters_done,
-                clusters_total: stats.clusters_total,
-            },
+        let (status, banked) = match r {
+            Ok(v) => (PassStatus::Completed, Some((v, Confidence::Exact))),
+            Err(Error::Interrupted(i)) => (PassStatus::Tripped(i), None),
+            Err(e) => (PassStatus::Errored(e), None),
+        };
+        PassRun {
+            status,
+            banked,
+            fuel_spent: session.fuel_spent(),
+            clusters_done: 0,
+            clusters_total: 0,
         }
     }
 

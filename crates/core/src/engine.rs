@@ -38,7 +38,7 @@ use foc_locality::ClValue;
 use foc_locality::TermCache;
 use foc_logic::fragment::{check_foc1, check_foc1_term};
 use foc_logic::{Formula, Predicates, Query, Symbol, Term, Var};
-use foc_obs::{names, Counter, Gauge, Metrics, Observer, Sink, Span, SpanHandle, StderrSink};
+use foc_obs::{names, Counter, Gauge, Metrics, Observer, Sink, Span, SpanHandle};
 use foc_structures::{FxHashMap, RelDecl, Structure};
 
 use crate::error::{Error, Result};
@@ -132,13 +132,6 @@ pub struct EngineStats {
     /// Cover clusters evaluated (cover engine), at every recursion
     /// depth.
     pub clusters: u64,
-    /// Clusters of the top-level covers (cover engine) — the anytime
-    /// progress denominator.
-    pub clusters_total: u64,
-    /// Top-level clusters fully evaluated (cover engine) — the anytime
-    /// progress numerator; `clusters_done < clusters_total` after an
-    /// interrupted cover evaluation.
-    pub clusters_done: u64,
     /// Neighbourhood covers constructed (cover engine).
     pub covers_built: u64,
     /// Removal surgeries performed (cover engine).
@@ -191,9 +184,6 @@ pub struct EngineConfig {
     /// Memoise basic-cl-term values across the session's recursion,
     /// keyed by term structure and database content.
     pub cache: bool,
-    /// Attach a stderr span sink to every session (the `[foc-trace]`
-    /// lines): phase, cover, cluster, and removal spans as they finish.
-    pub trace: bool,
     /// Tuning for the cover engine. Its `threads` field is overridden by
     /// the engine-level `threads` knob above.
     pub cover: CoverConfig,
@@ -208,7 +198,6 @@ impl Default for EngineConfig {
             kind: EngineKind::Local,
             threads: 1,
             cache: true,
-            trace: false,
             cover: CoverConfig::default(),
             degrade: DegradePolicy::default(),
         }
@@ -245,7 +234,7 @@ impl std::fmt::Debug for EvaluatorBuilder {
 
 impl EvaluatorBuilder {
     /// A builder with the default configuration (local engine, one
-    /// thread, memo cache on, tracing off, standard predicates).
+    /// thread, memo cache on, no span sinks, standard predicates).
     pub fn new() -> EvaluatorBuilder {
         EvaluatorBuilder::default()
     }
@@ -268,17 +257,11 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Toggles phase-span traces on stderr.
-    pub fn trace(mut self, on: bool) -> EvaluatorBuilder {
-        self.config.trace = on;
-        self
-    }
-
     /// Attaches a span sink: every session of the built engine delivers
-    /// its finished spans there (in addition to the stderr sink implied
-    /// by [`EvaluatorBuilder::trace`]). Attach a
-    /// [`foc_obs::MemorySink`] to capture the span tree in-process or a
-    /// [`foc_obs::JsonLinesSink`] to stream it to a file.
+    /// its finished spans there. Attach a [`foc_obs::StderrSink`] for
+    /// the `[foc-trace]` lines, a [`foc_obs::MemorySink`] to capture the
+    /// span tree in-process or a [`foc_obs::JsonLinesSink`] to stream it
+    /// to a file.
     pub fn sink(mut self, sink: Arc<dyn Sink>) -> EvaluatorBuilder {
         self.sinks.push(sink);
         self
@@ -467,18 +450,14 @@ impl Evaluator {
     /// session keeps its own expanded copy once markers appear).
     ///
     /// Every session gets its own observer: a fresh metrics registry
-    /// and, when sinks are attached (via [`EvaluatorBuilder::sink`] or
-    /// `trace(true)`), a recorded span tree rooted at a `session` span
-    /// that finishes when the session drops.
+    /// and, when sinks are attached (via [`EvaluatorBuilder::sink`]), a
+    /// recorded span tree rooted at a `session` span that finishes when
+    /// the session drops.
     pub fn session<'a>(&'a self, a: &Structure) -> Session<'a> {
-        let mut sinks = self.sinks.clone();
-        if self.config.trace {
-            sinks.push(Arc::new(StderrSink) as Arc<dyn Sink>);
-        }
-        let obs = if sinks.is_empty() {
+        let obs = if self.sinks.is_empty() {
             Observer::disabled()
         } else {
-            Observer::with_sinks(sinks)
+            Observer::with_sinks(self.sinks.clone())
         };
         let root = obs.root_span("session", &[("order", i64::from(a.order()))]);
         root.record_text("engine", format!("{:?}", self.config.kind));
@@ -596,8 +575,6 @@ struct SessionMetrics {
     degrade_naive: Counter,
     interrupted: Counter,
     clusters: Counter,
-    clusters_total: Counter,
-    clusters_done: Counter,
     covers_built: Counter,
     removals: Counter,
     peak_cluster: Gauge,
@@ -619,8 +596,6 @@ impl SessionMetrics {
             degrade_naive: m.counter(names::ENGINE_DEGRADE_NAIVE),
             interrupted: m.counter(names::ENGINE_INTERRUPTED),
             clusters: m.counter(names::COVER_CLUSTERS),
-            clusters_total: m.counter(names::COVER_CLUSTERS_TOTAL),
-            clusters_done: m.counter(names::COVER_CLUSTERS_DONE),
             covers_built: m.counter(names::COVER_BUILT),
             removals: m.counter(names::COVER_REMOVALS),
             peak_cluster: m.gauge(names::COVER_PEAK_CLUSTER),
@@ -701,8 +676,6 @@ impl<'a> Session<'a> {
             naive_fallbacks: snap.counter(names::ENGINE_FALLBACKS) as usize,
             sentences_resolved: snap.counter(names::ENGINE_SENTENCES) as usize,
             clusters: snap.counter(names::COVER_CLUSTERS),
-            clusters_total: snap.counter(names::COVER_CLUSTERS_TOTAL),
-            clusters_done: snap.counter(names::COVER_CLUSTERS_DONE),
             covers_built: snap.counter(names::COVER_BUILT),
             removals: snap.counter(names::COVER_REMOVALS),
             peak_cluster: snap.gauge(names::COVER_PEAK_CLUSTER) as u32,
@@ -1224,8 +1197,6 @@ impl<'a> Session<'a> {
                 // counters of the nested local evaluators) are recorded
                 // live through the observer.
                 self.metrics.clusters.add(cs.clusters);
-                self.metrics.clusters_total.add(cs.clusters_total);
-                self.metrics.clusters_done.add(cs.clusters_done);
                 self.metrics.covers_built.add(cs.covers_built);
                 self.metrics.removals.add(cs.removals);
                 self.metrics.fallbacks.add(cs.naive_fallbacks);

@@ -93,15 +93,6 @@ pub struct CoverStats {
     pub covers_built: u64,
     /// Clusters processed.
     pub clusters: u64,
-    /// Clusters of the top-level covers (covers over the evaluator's
-    /// root structure, not the transient recursive substructures),
-    /// summed across the cl-terms evaluated. Denominator for anytime
-    /// progress reporting.
-    pub clusters_total: u64,
-    /// Top-level clusters fully evaluated (all recursive work under
-    /// them included). Numerator for anytime progress reporting when
-    /// the run is interrupted.
-    pub clusters_done: u64,
     /// Removal surgeries performed.
     pub removals: u64,
     /// Counting components that fell back to the reference evaluator.
@@ -176,8 +167,6 @@ struct RemovalPlan {
 struct SharedStats {
     covers_built: AtomicU64,
     clusters: AtomicU64,
-    clusters_total: AtomicU64,
-    clusters_done: AtomicU64,
     removals: AtomicU64,
     naive_fallbacks: AtomicU64,
     peak_cluster: AtomicU64,
@@ -189,8 +178,6 @@ impl SharedStats {
         CoverStats {
             covers_built: self.covers_built.load(Ordering::Relaxed),
             clusters: self.clusters.load(Ordering::Relaxed),
-            clusters_total: self.clusters_total.load(Ordering::Relaxed),
-            clusters_done: self.clusters_done.load(Ordering::Relaxed),
             removals: self.removals.load(Ordering::Relaxed),
             naive_fallbacks: self.naive_fallbacks.load(Ordering::Relaxed),
             peak_cluster: self.peak_cluster.load(Ordering::Relaxed) as u32,
@@ -462,14 +449,6 @@ impl<'a> CoverEvaluator<'a> {
             .cover_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.stats.covers_built.fetch_add(1, Ordering::Relaxed);
-        if top {
-            // Progress denominator for anytime reporting: the recursion
-            // works per top-level cluster, so "clusters of the root
-            // cover" is the unit `clusters_done` counts in.
-            self.stats
-                .clusters_total
-                .fetch_add(cover.clusters.len() as u64, Ordering::Relaxed);
-        }
         if let Some(sp) = &cover_span {
             sp.record("clusters", cover.clusters.len() as i64);
         }
@@ -491,14 +470,7 @@ impl<'a> CoverEvaluator<'a> {
         // pairs for its own elements only, so writing them back in any
         // order reproduces the sequential result exactly.
         let eval_one = |idx: usize| -> Result<Vec<(u32, i64)>> {
-            let pairs =
-                self.eval_one_cluster(b, s, depth, &cover, &assigned, &cover_handle, idx)?;
-            if top {
-                // Completed one top-level cluster (recursion included):
-                // one unit of anytime progress.
-                self.stats.clusters_done.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(pairs)
+            self.eval_one_cluster(b, s, depth, &cover, &assigned, &cover_handle, idx)
         };
 
         let idxs: Vec<usize> = (0..cover.clusters.len()).collect();

@@ -153,7 +153,7 @@ pub const SERVE_POSTMORTEMS: &str = "server.postmortems";
 pub const ANYTIME_RUNS: &str = "anytime.runs";
 /// Deepening runs that finished with an exact answer. Counter.
 pub const ANYTIME_EXACT: &str = "anytime.exact";
-/// Deepening runs that returned a degraded (lower-bound or partial)
+/// Deepening runs that returned a degraded (lower-bound or approx)
 /// best-so-far answer. Counter.
 pub const ANYTIME_DEGRADED: &str = "anytime.degraded";
 /// Deepening passes skipped by the time manager (budget exhausted or
@@ -180,12 +180,6 @@ pub const ENGINE_APPROX_EXHAUSTIVE: &str = "engine.approx.exhaustive";
 /// Distribution of claimed additive error bounds. Histogram.
 pub const ENGINE_APPROX_ERROR_BOUND: &str = "engine.approx.error_bound";
 
-/// Clusters of the top-level covers (the anytime progress
-/// denominator). Counter.
-pub const COVER_CLUSTERS_TOTAL: &str = "cover.clusters_total";
-/// Top-level clusters fully evaluated (the anytime progress
-/// numerator of a pass report). Counter.
-pub const COVER_CLUSTERS_DONE: &str = "cover.clusters_done";
 /// Anytime requests served (proto 2 `anytime: true`, or forced by the
 /// pressure ladder's anytime rung). Counter.
 pub const SERVE_ANYTIME: &str = "server.anytime";

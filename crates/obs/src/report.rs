@@ -143,8 +143,8 @@ pub struct Quantiles {
 }
 
 /// Estimates p50/p95/p99 from one histogram snapshot (`None` when the
-/// histogram is empty). The triple `foc explain`, the E13 bench, and
-/// the serve slow-query threshold all report.
+/// histogram is empty). The triple `foc explain` and the serve
+/// slow-query threshold report.
 pub fn quantiles(h: &HistogramSnapshot) -> Option<Quantiles> {
     Some(Quantiles {
         p50: quantile(h, 0.50)?,

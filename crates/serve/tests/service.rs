@@ -179,54 +179,92 @@ fn misbehaving_queries_are_contained_while_good_clients_succeed() {
     assert_eq!(snap.counter(names::SERVE_REQUESTS), 13);
 }
 
-/// 32 concurrent clients all get served; drain then completes, notifies
+/// 32 concurrent clients send a few lines each, with tracing off and an
+/// admission queue shorter than the client count, so some lines may be
+/// shed. Every line gets exactly one terminal frame (`result` with the
+/// right value, or `shed`), the server's counters agree with the
+/// clients' tally, and no trace is kept. Drain then completes, notifies
 /// every idle stream with a `drained` frame, joins every connection
 /// thread, and interrupts nothing.
 #[test]
 fn graceful_drain_completes_under_32_concurrent_clients() {
+    const CLIENTS: usize = 32;
+    // (mode, query, value on path(8)).
+    const LINES: [(&str, &str, &str); 4] = [
+        ("check", "exists x. E(x,x)", "false"),
+        ("check", "exists x. exists y. E(x,y)", "true"),
+        ("eval", "#(x,y). E(x,y)", "14"),
+        ("eval", "#(x). exists y. E(x,y)", "8"),
+    ];
     let handle = start(
         path(8),
         ServerConfig {
             max_inflight: 4,
-            queue: 32,
+            queue: 8,
             engine: EngineKind::Naive,
+            tracing: false,
             ..ServerConfig::default()
         },
     )
     .expect("start");
     let addr = handle.addr();
-    let served = Arc::new(AtomicUsize::new(0));
+    let answered = Arc::new(AtomicUsize::new(0));
 
-    let clients: Vec<_> = (0..32)
+    let clients: Vec<_> = (0..CLIENTS)
         .map(|i| {
-            let served = served.clone();
+            let answered = answered.clone();
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr);
-                let frame = c.roundtrip(&format!(
-                    r##"{{"id":"c{i}","mode":"check","query":"exists x. E(x,x)"}}"##
-                ));
-                assert_eq!(field(&frame, "type"), Some("result"), "frame: {frame}");
-                assert_eq!(field(&frame, "value"), Some("false"), "frame: {frame}");
-                served.fetch_add(1, Ordering::SeqCst);
+                let mut shed = 0u64;
+                for (j, (mode, query, value)) in LINES.iter().enumerate() {
+                    let id = format!("c{i}-{j}");
+                    let frame = c.roundtrip(&format!(
+                        r##"{{"id":"{id}","mode":"{mode}","query":"{query}"}}"##
+                    ));
+                    assert_eq!(field(&frame, "id"), Some(id.as_str()), "frame: {frame}");
+                    match field(&frame, "type") {
+                        Some("result") => {
+                            assert_eq!(field(&frame, "value"), Some(*value), "frame: {frame}")
+                        }
+                        Some("shed") => shed += 1,
+                        _ => panic!("neither result nor shed: {frame}"),
+                    }
+                }
+                answered.fetch_add(1, Ordering::SeqCst);
                 // Keep the connection open: drain must notify it with a
-                // `drained` frame instead of leaving it hanging.
+                // `drained` frame instead of leaving it hanging. Any
+                // second frame for one line would arrive here instead.
                 let bye = c.recv();
                 assert_eq!(field(&bye, "type"), Some("drained"), "frame: {bye}");
+                shed
             })
         })
         .collect();
 
-    // Wait until every client has its answer, then drain.
-    while served.load(Ordering::SeqCst) < 32 {
+    // Wait until every client has its answers, then drain.
+    while answered.load(Ordering::SeqCst) < CLIENTS {
         std::thread::sleep(Duration::from_millis(5));
     }
+    assert!(
+        handle.recent_traces().is_empty(),
+        "tracing off must keep no traces"
+    );
     let report = handle.drain();
-    for c in clients {
-        c.join().expect("client thread");
-    }
+    let shed: u64 = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .sum();
     assert_eq!(report.interrupted, 0);
     assert_eq!(report.connections_joined, 32, "no connection thread leaks");
-    assert_eq!(report.final_metrics.counter(names::SERVE_REQUESTS), 32);
+    let snap = &report.final_metrics;
+    assert_eq!(
+        snap.counter(names::SERVE_REQUESTS) + snap.counter(names::SERVE_SHED),
+        (CLIENTS * LINES.len()) as u64,
+        "every line is admitted or shed, exactly once"
+    );
+    assert_eq!(snap.counter(names::SERVE_SHED), shed);
+    assert_eq!(snap.counter(names::SERVE_ERRORS), 0);
+    assert_eq!(snap.counter(names::SERVE_TRACES_KEPT), 0);
 }
 
 /// Admission under overload: with one in-flight slot and no queue, a
@@ -945,6 +983,11 @@ fn telemetry_scrapes_while_eight_clients_are_midrequest() {
     assert_eq!(
         report.interrupted, 8,
         "all stragglers cancelled at the deadline"
+    );
+    assert_eq!(
+        report.final_metrics.counter(names::SERVE_TELEMETRY_SCRAPES),
+        1,
+        "the one /metrics scrape is counted"
     );
     for c in clients {
         c.join().expect("client");

@@ -602,24 +602,38 @@ mod tests {
         assert_eq!(rec2.fingerprint, want);
     }
 
+    /// `interval` and `never` leave appends unsynced until an explicit
+    /// sync; `always` syncs once per acknowledged append.
     #[test]
     fn interval_and_never_policies_defer_syncs() {
-        let (mut wal, rec) = Wal::recover(
-            MemStore::new(),
+        for policy in [
             FsyncPolicy::Interval(Duration::from_secs(3600)),
-            Some(base()),
-        )
-        .unwrap();
-        let mut delta = rec.delta;
-        wal.checkpoint(delta.current()).unwrap();
-        let info = delta.apply(&[TupleOp::insert("E", &[3, 4])]).unwrap();
-        let a = wal
-            .append_commit(info.epoch, delta.snapshot().fingerprint(), &[])
-            .unwrap();
-        assert!(!a.synced);
-        assert!(wal.unsynced_age() > Duration::ZERO || wal.log_bytes() > 0);
-        wal.sync().unwrap();
-        assert_eq!(wal.unsynced_age(), Duration::ZERO);
+            FsyncPolicy::Never,
+            FsyncPolicy::Always,
+        ] {
+            let always = policy == FsyncPolicy::Always;
+            let (mut wal, rec) = Wal::recover(MemStore::new(), policy, Some(base())).unwrap();
+            let mut delta = rec.delta;
+            wal.checkpoint(delta.current()).unwrap();
+            let syncs_before = wal.syncs();
+            for (u, v) in [(3, 4), (4, 5), (5, 6)] {
+                let info = delta.apply(&[TupleOp::insert("E", &[u, v])]).unwrap();
+                let a = wal
+                    .append_commit(info.epoch, delta.snapshot().fingerprint(), &[])
+                    .unwrap();
+                assert_eq!(a.synced, always, "{policy}");
+            }
+            assert_eq!(
+                wal.syncs() - syncs_before,
+                if always { 3 } else { 0 },
+                "{policy}"
+            );
+            if !always {
+                assert!(wal.unsynced_age() > Duration::ZERO || wal.log_bytes() > 0);
+            }
+            wal.sync().unwrap();
+            assert_eq!(wal.unsynced_age(), Duration::ZERO);
+        }
     }
 
     #[test]
