@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use foc_covers::removal::{remove_element, remove_formula, remove_unary_count, RemovalContext};
+use foc_covers::removal::{new_id, remove_element, remove_formula, remove_unary_count};
 use foc_eval::{Assignment, NaiveEvaluator};
 use foc_logic::build::*;
 use foc_logic::{Predicates, Var};
@@ -52,11 +52,10 @@ pub fn e10(quick: bool) -> Vec<Table> {
         let mut surgery_time = std::time::Duration::ZERO;
         for _ in 0..reps {
             let d = rng.gen_range(0..s.order());
-            let ctx = RemovalContext::new(3);
             let t0 = Instant::now();
-            let rem = remove_element(&s, d, &ctx);
+            let rem = remove_element(&s, d, 3);
             surgery_time += t0.elapsed();
-            size_ratio += rem.structure.size() as f64 / s.size() as f64;
+            size_ratio += rem.size() as f64 / s.size() as f64;
             // Formula rewriting: sampled assignments.
             for f in &formulas {
                 for _ in 0..40 {
@@ -71,13 +70,13 @@ pub fn e10(quick: bool) -> Vec<Table> {
                     let mut ev = NaiveEvaluator::new(&s, &preds);
                     let mut env = Assignment::from_pairs(pairs);
                     let want = ev.check(f, &mut env).unwrap();
-                    let rewritten = remove_formula(f, &vset, &ctx);
-                    let mut ev2 = NaiveEvaluator::new(&rem.structure, &preds);
+                    let rewritten = remove_formula(f, &vset, 3);
+                    let mut ev2 = NaiveEvaluator::new(&rem, &preds);
                     let mut env2 = Assignment::from_pairs(
                         pairs
                             .iter()
                             .filter(|(_, e)| *e != d)
-                            .map(|(v, e)| (*v, rem.new_of_old[e])),
+                            .map(|(v, e)| (*v, new_id(d, *e))),
                     );
                     let got = ev2.check(&rewritten, &mut env2).unwrap();
                     checks += 1;
@@ -86,10 +85,10 @@ pub fn e10(quick: bool) -> Vec<Table> {
             }
             // Term rewriting (Lemma 7.9): degree terms at every element.
             let body = or(atom("E", [x, y]), dist_le(x, y, 2));
-            let (when_d, when_not_d) = remove_unary_count(x, &[y], &body, &ctx);
+            let (when_d, when_not_d) = remove_unary_count(x, &[y], &body, 3);
             let term = cnt([y], body.clone());
             let mut ev = NaiveEvaluator::new(&s, &preds);
-            let mut ev2 = NaiveEvaluator::new(&rem.structure, &preds);
+            let mut ev2 = NaiveEvaluator::new(&rem, &preds);
             for a in s.universe() {
                 let mut env = Assignment::from_pairs([(x, a)]);
                 let want = ev.eval_term(&term, &mut env).unwrap();
@@ -106,7 +105,7 @@ pub fn e10(quick: bool) -> Vec<Table> {
                         .iter()
                         .map(|rc| {
                             let tt = cnt_vec(rc.counted.clone(), rc.body.clone());
-                            let mut env2 = Assignment::from_pairs([(x, rem.new_of_old[&a])]);
+                            let mut env2 = Assignment::from_pairs([(x, new_id(d, a))]);
                             ev2.eval_term(&tt, &mut env2).unwrap()
                         })
                         .sum()

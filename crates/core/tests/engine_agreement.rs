@@ -11,7 +11,7 @@ use foc_logic::{Formula, Term};
 use foc_structures::gen::{
     caterpillar, cycle, example_colored, graph_structure, grid, path, random_tree, star,
 };
-use foc_structures::Structure;
+use foc_structures::{RelDecl, Structure};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -595,4 +595,16 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn user_relation_named_s_does_not_break_cover_removal() {
+    // A unary relation called `S` sits next to the removal lemma's
+    // distance markers in every σ̃ the cover recursion builds; the cover
+    // engine must still answer what the local engine answers.
+    let s = grid(12, 12).expand(vec![(RelDecl::new("S", 1), vec![vec![0]])]);
+    let t = parse_term("#(x,y). !(dist(x,y) <= 2)").unwrap();
+    let [_, local, cover] = engines();
+    let want = local.eval_ground(&s, &t).unwrap();
+    assert_eq!(cover.eval_ground(&s, &t).unwrap(), want);
 }

@@ -69,7 +69,7 @@ use foc_parallel::ParMeter;
 use foc_structures::{FxHashMap, Structure};
 
 use crate::cover::{cover_structure, NeighborhoodCover};
-use crate::removal::{remove_element, remove_unary_count, RemovalContext, RemovedCount};
+use crate::removal::{new_id, old_id, remove_element, remove_unary_count, RemovedCount};
 
 /// Rewrites an interrupt's trip site to [`Phase::Cover`], the phase of
 /// the per-cluster stage it escaped from. Workers poll the shared
@@ -149,7 +149,8 @@ struct CoverObs {
 /// and reused across every cluster — the surgery itself depends on the
 /// cluster, the symbols and formulas do not.
 struct RemovalPlan {
-    ctx: RemovalContext,
+    /// Marker radius: `S_1, …, S_r` cover the matrix's distance atoms.
+    r: u32,
     /// Ground components for the removed element, with their (optional)
     /// decomposition using the first counted variable as the free one.
     when_d: Vec<(RemovedCount, Option<ClTerm>)>,
@@ -603,12 +604,11 @@ impl<'a> CoverEvaluator<'a> {
         {
             return plan;
         }
-        let marker_r = max_dist_bound(&b.matrix()).max(1);
-        let ctx = RemovalContext::new(marker_r);
+        let r = max_dist_bound(&b.matrix()).max(1);
         let x = b.vars[0];
         let counted: Vec<Var> = b.vars[1..].to_vec();
         let matrix = b.matrix();
-        let (when_d, when_not_d) = remove_unary_count(x, &counted, &matrix, &ctx);
+        let (when_d, when_not_d) = remove_unary_count(x, &counted, &matrix, r);
         let when_d = when_d
             .into_iter()
             .map(|rc| {
@@ -634,7 +634,7 @@ impl<'a> CoverEvaluator<'a> {
             })
             .collect();
         let plan = Arc::new(RemovalPlan {
-            ctx,
+            r,
             when_d,
             when_not_d,
         });
@@ -685,11 +685,10 @@ impl<'a> CoverEvaluator<'a> {
         });
         let removal_handle = removal_span.as_ref().map(|sp| sp.handle());
         let parent = removal_handle.as_ref();
-        let rem = remove_element(cluster, d, &plan.ctx);
+        let bprime = &remove_element(cluster, d, plan.r);
         self.stats.removals.fetch_add(1, Ordering::Relaxed);
 
         let x = b.vars[0];
-        let bprime = &rem.structure;
         let mut out = vec![0i64; cluster.order() as usize];
 
         // a = d: sum of ground components on B′ — only if d is demanded.
@@ -727,11 +726,11 @@ impl<'a> CoverEvaluator<'a> {
         out[d as usize] = at_d;
 
         // a ≠ d: sum of unary components on B′, at the demand minus d,
-        // renumbered into B′ (removal shifts the ids above d down by one).
+        // renumbered into B′.
         let rest: Option<Vec<u32>> = demand.map(|dm| {
             dm.iter()
                 .filter(|&&e| e != d)
-                .map(|&e| if e > d { e - 1 } else { e })
+                .map(|&e| new_id(d, e))
                 .collect()
         });
         let rest = rest.as_deref();
@@ -742,7 +741,7 @@ impl<'a> CoverEvaluator<'a> {
             let vals =
                 self.eval_component(bprime, cl.as_ref(), Some(x), rc, depth - 1, rest, parent)?;
             for new in demanded(bprime, rest) {
-                let old = rem.old_of_new[new as usize] as usize;
+                let old = old_id(d, new) as usize;
                 out[old] = out[old].checked_add(vals[new as usize]).ok_or(
                     foc_locality::LocalityError::Eval(foc_eval::EvalError::Overflow),
                 )?;

@@ -30,10 +30,7 @@ pub use cover::{
 };
 pub use cover_eval::{CoverConfig, CoverEvaluator, CoverStats};
 pub use delta::{CoverStore, MaintainedCover, RefreshStats};
-pub use removal::{
-    remove_element, remove_formula, remove_ground_count, remove_unary_count, RemovalContext,
-    RemovedCount, RemovedStructure,
-};
+pub use removal::{remove_element, remove_formula, remove_unary_count, RemovedCount};
 pub use splitter::{
     estimate_game_length, exact_game_value, play, Connector, PlayOutcome, Splitter,
 };

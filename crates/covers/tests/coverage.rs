@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use foc_covers::cover::{build_cover, cover_structure, trivial_cover};
 use foc_covers::cover_eval::{max_dist_bound, CoverEvaluator};
-use foc_covers::removal::{remove_element, remove_formula, RemovalContext};
+use foc_covers::removal::{new_id, remove_element, remove_formula, tilde};
 use foc_covers::splitter::{
     exact_game_value, induce_graph, play, CenterSplitter, HubSplitter, MaxDegreeConnector,
 };
@@ -93,20 +93,19 @@ fn removal_on_multi_relation_and_high_arity() {
     b.try_insert("Red", &[1]).unwrap();
     b.try_insert("Flag", &[]).unwrap();
     let s = b.finish();
-    let ctx = RemovalContext::new(2);
-    let rem = remove_element(&s, 1, &ctx);
+    let rem = remove_element(&s, 1, 2);
     // T-row (1,1,4) has mask 0b011 → unary remnant [new(4)] = [3].
     let t_sym = foc_logic::Symbol::new("T");
-    let split = rem.structure.relation(ctx.tilde(t_sym, 0b011)).unwrap();
+    let split = rem.relation(tilde(t_sym, 0b011)).unwrap();
     assert_eq!(split.len(), 1);
     assert!(split.contains(&[3]));
     // The 0-ary Flag survives in its mask-0 copy.
     let flag = foc_logic::Symbol::new("Flag");
-    assert!(rem.structure.holds(ctx.tilde(flag, 0), &[]));
+    assert!(rem.holds(tilde(flag, 0), &[]));
     // Red loses its only row to the mask-1 copy.
     let red = foc_logic::Symbol::new("Red");
-    assert_eq!(rem.structure.relation(ctx.tilde(red, 0)).unwrap().len(), 0);
-    assert_eq!(rem.structure.relation(ctx.tilde(red, 1)).unwrap().len(), 1);
+    assert_eq!(rem.relation(tilde(red, 0)).unwrap().len(), 0);
+    assert_eq!(rem.relation(tilde(red, 1)).unwrap().len(), 1);
 }
 
 #[test]
@@ -122,12 +121,10 @@ fn iterated_removal_agrees_semantically() {
         and(atom("E", [x, v("irz")]), atom("E", [v("irz"), y])),
     );
     let d1 = 4u32;
-    let ctx1 = RemovalContext::new(3);
-    let rem1 = remove_element(&s, d1, &ctx1);
+    let rem1 = remove_element(&s, d1, 3);
     let d2_old = 0u32; // original id 0 survives round 1
-    let d2 = rem1.new_of_old[&d2_old];
-    let ctx2 = RemovalContext::new(3);
-    let rem2 = remove_element(&rem1.structure, d2, &ctx2);
+    let d2 = new_id(d1, d2_old);
+    let rem2 = remove_element(&rem1, d2, 3);
     for a in s.universe() {
         for b in s.universe() {
             if a == d1 || b == d1 || a == d2_old || b == d2_old {
@@ -136,11 +133,11 @@ fn iterated_removal_agrees_semantically() {
             let mut ev = NaiveEvaluator::new(&s, &p);
             let mut env = Assignment::from_pairs([(x, a), (y, b)]);
             let want = ev.check(&f, &mut env).unwrap();
-            let step1 = remove_formula(&f, &BTreeSet::new(), &ctx1);
-            let step2 = remove_formula(&step1, &BTreeSet::new(), &ctx2);
-            let a2 = rem2.new_of_old[&rem1.new_of_old[&a]];
-            let b2 = rem2.new_of_old[&rem1.new_of_old[&b]];
-            let mut ev2 = NaiveEvaluator::new(&rem2.structure, &p);
+            let step1 = remove_formula(&f, &BTreeSet::new(), 3);
+            let step2 = remove_formula(&step1, &BTreeSet::new(), 3);
+            let a2 = new_id(d2, new_id(d1, a));
+            let b2 = new_id(d2, new_id(d1, b));
+            let mut ev2 = NaiveEvaluator::new(&rem2, &p);
             let mut env2 = Assignment::from_pairs([(x, a2), (y, b2)]);
             let got = ev2.check(&step2, &mut env2).unwrap();
             assert_eq!(want, got, "double removal broke at ({a},{b})");

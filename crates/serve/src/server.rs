@@ -1621,14 +1621,6 @@ impl ServerHandle {
         self.shared.meter.used()
     }
 
-    /// Peak of the byte account since startup.
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.shared
-            .peak_resident
-            .load(Ordering::Relaxed)
-            .max(self.shared.meter.used())
-    }
-
     /// Graceful drain: stop accepting, shed queued work, let in-flight
     /// requests finish until the drain deadline, then cancel whatever
     /// remains, join every thread, and flush metrics. Idempotent by

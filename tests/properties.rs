@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use foc_core::{EngineKind, Evaluator, SumAggregate, Weights};
 use foc_covers::cover::build_cover;
-use foc_covers::removal::{remove_element, remove_formula, RemovalContext};
+use foc_covers::removal::{new_id, remove_element, remove_formula};
 use foc_eval::{Assignment, NaiveEvaluator};
 use foc_locality::decompose::decompose_ground;
 use foc_locality::gnf::gaifman_nf;
@@ -167,8 +167,7 @@ proptest! {
         prop_assume!(s.order() >= 2);
         let n = s.order();
         let d = d_seed % n;
-        let ctx = RemovalContext::new(4);
-        let rem = remove_element(&s, d, &ctx);
+        let rem = remove_element(&s, d, 4);
         let preds = Predicates::standard();
         let free: Vec<Var> = f.free_vars().into_iter().collect();
         let assignment: Vec<(Var, u32)> = free
@@ -181,10 +180,10 @@ proptest! {
         let mut ev = NaiveEvaluator::new(&s, &preds);
         let mut env = Assignment::from_pairs(assignment.clone());
         let want = ev.check(&f, &mut env).unwrap();
-        let rewritten = remove_formula(&f, &vset, &ctx);
-        let mut ev2 = NaiveEvaluator::new(&rem.structure, &preds);
+        let rewritten = remove_formula(&f, &vset, 4);
+        let mut ev2 = NaiveEvaluator::new(&rem, &preds);
         let mut env2 = Assignment::from_pairs(
-            assignment.iter().filter(|(_, e)| *e != d).map(|(v, e)| (*v, rem.new_of_old[e])),
+            assignment.iter().filter(|(_, e)| *e != d).map(|(v, e)| (*v, new_id(d, *e))),
         );
         let got = ev2.check(&rewritten, &mut env2).unwrap();
         prop_assert_eq!(want, got, "removal broke {} at d={}", f, d);
