@@ -29,12 +29,13 @@
 //! `--budget` is a fixed iteration quota, not a wall-clock deadline —
 //! and exits 1 when any divergence is found. With `--updates` it fuzzes
 //! the live-update machinery instead: seeded interleavings of delta
-//! commits and queries, comparing delta-maintained evaluation (migrated
-//! term cache, repaired covers) against a from-scratch rebuild oracle
-//! at every step. With `--crash` it sweeps kill points over the
-//! `foc-wal` durability layer instead: a seeded mutation workload is
-//! crashed after every single IO unit and recovered, asserting recovery
-//! always lands on the last durably acknowledged state.
+//! commits and queries, comparing the local and cover engines over the
+//! live snapshot (sharing one migrated term cache) against a
+//! from-scratch rebuild oracle at every step. With `--crash` it sweeps
+//! kill points over the `foc-wal` durability layer instead: a seeded
+//! mutation workload is crashed after every single IO unit and
+//! recovered, asserting recovery always lands on the last durably
+//! acknowledged state.
 //!
 //! `foc serve --wal-dir <dir>` makes live updates crash-safe: every
 //! effective commit is appended to a write-ahead log before the result

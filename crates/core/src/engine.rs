@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use foc_covers::{CoverConfig, CoverEvaluator, CoverStore};
+use foc_covers::{CoverConfig, CoverEvaluator};
 use foc_eval::{eval_query, Assignment, FreeVarElim, NaiveEvaluator, QueryResult, QueryRow};
 use foc_guard::{Budget, Guard, Phase, TraceContext};
 use foc_locality::clnf::cl_normalform_guarded;
@@ -218,7 +218,6 @@ pub struct EvaluatorBuilder {
     sinks: Vec<Arc<dyn Sink>>,
     budget: Budget,
     shared_cache: Option<Arc<TermCache>>,
-    shared_covers: Option<Arc<CoverStore>>,
     fault_panic_element: Option<u32>,
     approx: Option<crate::approx::ApproxConfig>,
 }
@@ -316,16 +315,6 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Shares one long-lived neighbourhood-cover store across every
-    /// session of the built engine: the cover engine fetches ready
-    /// covers by `(fingerprint, radius)` instead of rebuilding them per
-    /// evaluation, and a delta commit can repair them into the next
-    /// epoch via [`foc_covers::CoverStore::migrate`].
-    pub fn shared_covers(mut self, covers: Arc<CoverStore>) -> EvaluatorBuilder {
-        self.shared_covers = Some(covers);
-        self
-    }
-
     /// Test-only fault injection: the basic-cl-term evaluators panic when
     /// they reach this element, exercising the panic-containment path.
     #[doc(hidden)]
@@ -376,7 +365,6 @@ impl EvaluatorBuilder {
             sinks: self.sinks,
             budget: self.budget,
             shared_cache: self.shared_cache,
-            shared_covers: self.shared_covers,
             fault_panic_element: self.fault_panic_element,
             approx: self.approx,
         })
@@ -399,10 +387,6 @@ pub struct Evaluator {
     /// [`EvaluatorBuilder::shared_cache`]); `None` gives each session a
     /// fresh cache.
     pub(crate) shared_cache: Option<Arc<TermCache>>,
-    /// A cross-session cover store (see
-    /// [`EvaluatorBuilder::shared_covers`]); `None` rebuilds covers per
-    /// evaluation as before.
-    pub(crate) shared_covers: Option<Arc<CoverStore>>,
     /// Test-only fault injection (see
     /// [`EvaluatorBuilder::fault_panic_element`]).
     pub(crate) fault_panic_element: Option<u32>,
@@ -1182,9 +1166,6 @@ impl<'a> Session<'a> {
                     cev.config.threads = self.ev.config.threads;
                     if let Some(cache) = &self.cache {
                         cev.set_cache(cache.clone());
-                    }
-                    if let Some(covers) = &self.ev.shared_covers {
-                        cev.set_cover_store(covers.clone());
                     }
                     cev.set_observer(handle.clone());
                     cev.set_guard(self.guard.clone());

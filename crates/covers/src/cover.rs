@@ -93,14 +93,7 @@ impl NeighborhoodCover {
 /// Builds an (r, 2r)-neighbourhood cover of a graph with the least-centre
 /// rule.
 pub fn build_cover(g: &Graph, r: u32) -> NeighborhoodCover {
-    build_cover_with_order(g, r, &g.degeneracy_positions())
-}
-
-/// [`build_cover`] with a caller-supplied vertex order (`pos[v]` = rank
-/// of `v`). The least-centre rule is a correct cover for *any* total
-/// order; delta maintenance freezes the construction-time order so local
-/// repairs agree with the original build.
-pub fn build_cover_with_order(g: &Graph, r: u32, pos: &[u32]) -> NeighborhoodCover {
+    let pos = g.degeneracy_positions();
     let n = g.n();
     let mut scratch = BfsScratch::new();
     let mut cluster_of_center: FxHashMap<u32, u32> = FxHashMap::default();

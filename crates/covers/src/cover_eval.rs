@@ -215,12 +215,6 @@ pub struct CoverEvaluator<'a> {
     plans: Mutex<FxHashMap<u64, PlanBucket>>,
     /// Optional shared memo of basic-term values (see [`TermCache`]).
     cache: Option<Arc<TermCache>>,
-    /// Optional cross-evaluation cover store: top-level covers are
-    /// fetched by `(fingerprint, radius)` instead of rebuilt, so a
-    /// delta-migrated cover (see [`crate::delta`]) is reused across
-    /// epochs. Recursive sub-evaluations still build ad-hoc covers —
-    /// induced substructures are transient.
-    covers: Option<Arc<crate::delta::CoverStore>>,
     /// Optional observability hooks (see [`CoverObs`]).
     obs: Option<CoverObs>,
     /// Cooperative resource guard; checked per cluster and inherited by
@@ -242,7 +236,6 @@ impl<'a> CoverEvaluator<'a> {
             stats: SharedStats::default(),
             plans: Mutex::new(FxHashMap::default()),
             cache: None,
-            covers: None,
             obs: None,
             guard: Guard::unlimited(),
             fault_panic_element: None,
@@ -253,12 +246,6 @@ impl<'a> CoverEvaluator<'a> {
     /// evaluation at every recursion level.
     pub fn set_cache(&mut self, cache: Arc<TermCache>) {
         self.cache = Some(cache);
-    }
-
-    /// Attaches a shared cover store consulted (and populated) for
-    /// every top-level cover construction.
-    pub fn set_cover_store(&mut self, covers: Arc<crate::delta::CoverStore>) {
-        self.covers = Some(covers);
     }
 
     /// Installs a cooperative resource guard, shared with every nested
@@ -438,14 +425,7 @@ impl<'a> CoverEvaluator<'a> {
         });
         let cover_handle = cover_span.as_ref().map(|sp| sp.handle());
         let t0 = Instant::now();
-        // The store only serves the root structure: recursive calls work
-        // on transient induced substructures whose covers are not worth
-        // pinning (and whose epoch-0 fingerprints would alias across
-        // unrelated sub-evaluations of different roots).
-        let cover: Arc<NeighborhoodCover> = match &self.covers {
-            Some(store) if std::ptr::eq(s, self.a) => store.get_or_build(s, radius),
-            _ => Arc::new(cover_structure(s, radius)),
-        };
+        let cover = cover_structure(s, radius);
         self.stats
             .cover_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -21,15 +21,11 @@
 
 pub mod cover;
 pub mod cover_eval;
-pub mod delta;
 pub mod removal;
 pub mod splitter;
 
-pub use cover::{
-    build_cover, build_cover_with_order, cover_structure, trivial_cover, NeighborhoodCover,
-};
+pub use cover::{build_cover, cover_structure, trivial_cover, NeighborhoodCover};
 pub use cover_eval::{CoverConfig, CoverEvaluator, CoverStats};
-pub use delta::{CoverStore, MaintainedCover, RefreshStats};
 pub use removal::{remove_element, remove_formula, remove_unary_count, RemovedCount};
 pub use splitter::{
     estimate_game_length, exact_game_value, play, Connector, PlayOutcome, Splitter,

@@ -9,16 +9,16 @@
 //! * **delta-local** — the `Local` engine over the live snapshot, with a
 //!   [`TermCache`] carried across epochs by
 //!   [`foc_locality::migrate_cache`] (dirty-ball recomputation only);
-//! * **delta-cover** — the `Cover` engine over the live snapshot, with a
-//!   [`CoverStore`] repaired across epochs by
-//!   [`foc_covers::CoverStore::migrate`];
+//! * **delta-cover** — the `Cover` engine over the live snapshot,
+//!   sharing the same migrated [`TermCache`] and building its covers
+//!   afresh on every evaluation;
 //! * **oracle** — the naive reference evaluator over
 //!   [`DeltaStructure::rebuild_from_scratch`], an epoch-0 structure
 //!   rebuilt from the current tuples with no incremental state at all.
 //!
 //! A disagreement means the incremental machinery (COW commits, Gaifman
-//! maintenance, cache migration, or cover repair) corrupted state that a
-//! cold evaluation would not have. The loop also cross-checks the
+//! maintenance, or cache migration) corrupted state that a cold
+//! evaluation would not have. The loop also cross-checks the
 //! epoch-folded fingerprint: an effective commit that does not change
 //! the structure fingerprint would silently poison every
 //! fingerprint-keyed cache, so it is reported as a divergence too.
@@ -34,7 +34,6 @@ use std::io::Write;
 use std::sync::Arc;
 
 use foc_core::{EngineKind, Evaluator};
-use foc_covers::CoverStore;
 use foc_locality::{migrate_cache, TermCache};
 use foc_logic::Predicates;
 use foc_obs::{names, Metrics};
@@ -157,7 +156,6 @@ pub fn fuzz_updates(cfg: &UpdatesConfig, metrics: &Metrics, log: &mut dyn Write)
 
         let mut delta = DeltaStructure::new(case.structure.clone());
         let cache = Arc::new(TermCache::default());
-        let covers = Arc::new(CoverStore::default());
         let mut history: Vec<String> = Vec::new();
 
         let local = Evaluator::builder()
@@ -166,7 +164,6 @@ pub fn fuzz_updates(cfg: &UpdatesConfig, metrics: &Metrics, log: &mut dyn Write)
             .build();
         let cover = Evaluator::builder()
             .kind(EngineKind::Cover)
-            .shared_covers(covers.clone())
             .shared_cache(cache.clone())
             .build();
         let oracle = Evaluator::builder().kind(EngineKind::Naive).build();
@@ -217,9 +214,7 @@ pub fn fuzz_updates(cfg: &UpdatesConfig, metrics: &Metrics, log: &mut dyn Write)
                             );
                         }
                         migrate_cache(&cache, &old, &new, &info.touched, &preds);
-                        covers.migrate(&old, &new, &info.touched);
                         cache.evict_structure(old.fingerprint());
-                        covers.retire(old.fingerprint());
                     }
                 }
             }

@@ -1,6 +1,6 @@
 //! Resource governance for FOC(P) evaluation.
 //!
-//! Section 4 of the paper proves FOC(P) model checking is AW[*]-hard
+//! Section 4 of the paper proves FOC(P) model checking is AW\[*\]-hard
 //! already on strings and trees, so a deployed engine must assume some
 //! queries are computationally hostile and *bound* them instead of
 //! hanging. This crate provides the one primitive the whole pipeline

@@ -10,7 +10,7 @@
 //! * **Admission control** — a bounded in-flight limit plus a bounded
 //!   wait queue; beyond both, requests are *shed* with a structured
 //!   `retry_after_ms` frame instead of queueing unboundedly
-//!   ([`server::Gate`] internals, [`protocol::shed_frame`]);
+//!   (`server::Gate` internals, [`protocol::shed_frame`]);
 //! * **Per-request budgets** — request-supplied deadline/fuel clamped
 //!   by server-wide caps and armed as a [`foc_guard::Budget`], with the
 //!   drain [`foc_guard::CancelToken`] threaded through every guard;

@@ -37,7 +37,6 @@ use std::time::{Duration, Instant, SystemTime};
 use foc_core::{
     AnswerValue, ApproxConfig, Confidence, CostModel, EngineKind, Error, Evaluator, PassReport,
 };
-use foc_covers::CoverStore;
 use foc_guard::{Budget, CancelToken, MemoryMeter, TraceContext, TripReason};
 use foc_locality::{migrate_cache, TermCache};
 use foc_logic::parse::{parse_formula, parse_term};
@@ -313,7 +312,6 @@ pub(crate) struct Shared {
     /// lifetime — commits never perturb an in-flight read.
     published: RwLock<Arc<Structure>>,
     preds: Predicates,
-    covers: Arc<CoverStore>,
     cache: Arc<TermCache>,
     meter: MemoryMeter,
     gate: Gate,
@@ -812,7 +810,6 @@ pub fn start(structure: Structure, config: ServerConfig) -> std::io::Result<Serv
         writer: Mutex::new(writer),
         published,
         preds: Predicates::standard(),
-        covers: Arc::new(CoverStore::default()),
         cache,
         meter,
         latency: metrics.histogram(names::SERVE_LATENCY_MICROS, &pow2_buckets(31)),
@@ -1110,13 +1107,13 @@ fn serve_line(line: &str, shared: &Arc<Shared>, emit: &mut dyn FnMut(&str)) {
 }
 
 /// Applies a mutation request: serialise on the writer lock, commit the
-/// batch as one delta, migrate the shared term cache and cover store to
-/// the new epoch (recomputing only dirty balls / clusters), publish the
-/// snapshot, then retire the old epoch's cache entries. Readers
-/// admitted before the publish keep evaluating against their pinned
-/// snapshot; entries they re-insert under the retired fingerprint are
-/// bounded by the caches' capacity and age out via their normal
-/// eviction.
+/// batch as one delta (made durable in the WAL, if any), migrate the
+/// shared term cache to the new epoch (recomputing only dirty balls),
+/// publish the snapshot, then evict the old epoch's cache entries.
+/// Readers admitted before the publish keep evaluating against their
+/// pinned snapshot; entries they re-insert under the evicted
+/// fingerprint are bounded by the cache's capacity and age out via its
+/// normal eviction.
 fn apply_update(req: &Request, tc: &TraceContext, shared: &Arc<Shared>) -> String {
     let m = &shared.metrics;
     // Degrade ladder rung 1: with the WAL read-only, an update could be
@@ -1196,10 +1193,8 @@ fn apply_update(req: &Request, tc: &TraceContext, shared: &Arc<Shared>) -> Strin
                     }
                 }
                 let stats = migrate_cache(&shared.cache, &old, &new, &info.touched, &shared.preds);
-                shared.covers.migrate(&old, &new, &info.touched);
                 *shared.published.write().unwrap_or_else(|e| e.into_inner()) = new.clone();
                 shared.cache.evict_structure(old.fingerprint());
-                shared.covers.retire(old.fingerprint());
                 shared.meter.add(new.resident_bytes());
                 shared.meter.sub(old.resident_bytes());
                 m.counter(names::SERVE_CACHE_MIGRATED)
@@ -1285,7 +1280,6 @@ fn evaluate_request(
     } else {
         builder = builder.cache(false);
     }
-    builder = builder.shared_covers(shared.covers.clone());
     // Span capture: a per-request memory sink (the candidate trace) and
     // the server-wide flight recorder (the last-moments ring). Attached
     // only when tracing is on — sinks are what enable span recording,

@@ -562,7 +562,11 @@ fn bad_requests_get_structured_errors_and_the_connection_survives() {
 fn concurrent_updates_are_snapshot_consistent_with_rebuilds() {
     use foc_structures::{DeltaStructure, TupleOp};
 
-    let structure = path(16);
+    // Longer than the cover engine's direct threshold, so the cover
+    // reader below builds a neighbourhood cover on every cache miss
+    // instead of evaluating the whole structure directly.
+    let structure = path(24);
+    assert!(structure.order() > foc_core::CoverConfig::default().direct_threshold);
     // The deterministic mutation schedule: each batch toggles one
     // symmetric edge and is guaranteed effective, so batch i commits
     // epoch i+1.
@@ -579,18 +583,23 @@ fn concurrent_updates_are_snapshot_consistent_with_rebuilds() {
         (0, 8, false),
     ];
 
-    // Expected value per epoch, via an independent from-scratch rebuild
-    // at every epoch (the oracle the acceptance criterion asks for).
-    let query = "#(x,y). E(x,y)";
-    let term = parse_term(query).expect("parse");
+    // Expected values per epoch, via an independent from-scratch
+    // rebuild at every epoch: one for the edge count the local readers
+    // ask for, one for the radius-2 count the cover reader asks for.
+    let queries = ["#(x,y). E(x,y)", "#(x,y). dist(x,y) <= 2"];
+    let terms = queries.map(|q| parse_term(q).expect("parse"));
     let reference = Evaluator::builder()
         .kind(EngineKind::Naive)
         .build()
         .expect("reference");
+    let eval_all = |a: &foc_structures::Structure| -> Vec<i64> {
+        terms
+            .iter()
+            .map(|t| reference.eval_ground(a, t).expect("rebuild eval"))
+            .collect()
+    };
     let mut mirror = DeltaStructure::new(structure.clone());
-    let mut expected = vec![reference
-        .eval_ground(&mirror.rebuild_from_scratch(), &term)
-        .expect("epoch 0")];
+    let mut expected = vec![eval_all(&mirror.rebuild_from_scratch())];
     for &(u, v, insert) in &toggles {
         let mk = if insert {
             TupleOp::insert
@@ -601,11 +610,7 @@ fn concurrent_updates_are_snapshot_consistent_with_rebuilds() {
             .apply(&[mk("E", &[u, v]), mk("E", &[v, u])])
             .expect("mirror commit");
         assert_eq!(info.epoch as usize, expected.len(), "every batch commits");
-        expected.push(
-            reference
-                .eval_ground(&mirror.rebuild_from_scratch(), &term)
-                .expect("rebuild eval"),
-        );
+        expected.push(eval_all(&mirror.rebuild_from_scratch()));
     }
 
     let handle = start(
@@ -640,15 +645,23 @@ fn concurrent_updates_are_snapshot_consistent_with_rebuilds() {
         }
     });
 
+    // Readers 0 and 1 use the server's local engine; reader 2 asks for
+    // the cover engine, whose answers must match the rebuild too.
     let readers: Vec<_> = (0..3)
         .map(|r| {
             let expected = expected.clone();
+            let (q, engine) = if r == 2 {
+                (1, r#","engine":"cover""#)
+            } else {
+                (0, "")
+            };
+            let query = queries[q];
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr);
                 let mut seen_epochs = std::collections::BTreeSet::new();
                 for i in 0..30 {
                     let frame = c.roundtrip(&format!(
-                        r##"{{"proto":1,"id":"r{r}-{i}","mode":"eval","query":"#(x,y). E(x,y)"}}"##
+                        r##"{{"proto":1,"id":"r{r}-{i}","mode":"eval","query":"{query}"{engine}}}"##
                     ));
                     assert_eq!(field(&frame, "type"), Some("result"), "frame: {frame}");
                     let epoch: usize = field(&frame, "epoch")
@@ -661,7 +674,7 @@ fn concurrent_updates_are_snapshot_consistent_with_rebuilds() {
                         .expect("numeric value");
                     assert!(epoch < expected.len(), "epoch {epoch} out of range");
                     assert_eq!(
-                        value, expected[epoch],
+                        value, expected[epoch][q],
                         "epoch {epoch} diverged from its from-scratch rebuild: {frame}"
                     );
                     seen_epochs.insert(epoch);
@@ -687,7 +700,7 @@ fn concurrent_updates_are_snapshot_consistent_with_rebuilds() {
     assert_eq!(field(&frame, "epoch"), Some("10"), "frame: {frame}");
     assert_eq!(
         field(&frame, "value"),
-        Some(expected[10].to_string().as_str()),
+        Some(expected[10][0].to_string().as_str()),
         "frame: {frame}"
     );
 

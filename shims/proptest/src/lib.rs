@@ -266,7 +266,7 @@ pub mod collection {
         VecStrategy { elem, len }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     pub struct VecStrategy<S> {
         elem: S,
         len: Range<usize>,
