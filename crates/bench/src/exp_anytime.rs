@@ -7,7 +7,9 @@
 //! curve on a locality-heavy counting query under the cover engine
 //! (the full sample → approx → local → exact ladder): one run per fuel budget
 //! in an increasing sweep, each recording the confidence tag, the
-//! banked value, and quality = banked / exact ∈ [0, 1].
+//! banked value, and quality = 1 − |banked − exact| / exact, clamped to
+//! [0, 1] (0 when no pass banked an answer). An estimate that overshoots
+//! the exact value loses quality just as one that undershoots it does.
 //!
 //! Budgets are fuel-only, so every cell is deterministic — the sweep is
 //! a function of the seed structure alone, not of machine speed. The
@@ -59,7 +61,7 @@ fn emit_json(cells: &[BudgetCell], order: u32, exact: i64, quick: bool) -> Strin
     let _ = writeln!(out, "  \"query\": \"#(x,y). not dist<=2(x,y)\",");
     let _ = writeln!(
         out,
-        "  \"note\": \"fuel-only budgets keep every cell deterministic; quality = banked value / exact value, 0 when no pass banked an answer\","
+        "  \"note\": \"fuel-only budgets keep every cell deterministic; quality = 1 - |banked - exact| / exact clamped to [0, 1], 0 when no pass banked an answer\","
     );
     let _ = writeln!(out, "  \"budgets\": [");
     for (i, c) in cells.iter().enumerate() {
@@ -163,7 +165,8 @@ pub fn e15(quick: bool) -> Vec<Table> {
         let t0 = Instant::now();
         let cell = match ev.eval_ground_anytime(&a, &query, None, None) {
             Ok(out) => {
-                let quality = (out.value as f64 / exact as f64).clamp(0.0, 1.0);
+                let miss = (out.value - exact).unsigned_abs() as f64 / exact as f64;
+                let quality = (1.0 - miss).clamp(0.0, 1.0);
                 BudgetCell {
                     fuel,
                     confidence: out.confidence.to_string(),

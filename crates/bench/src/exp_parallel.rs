@@ -9,12 +9,21 @@
 //! speedup numbers can be judged against the hardware they were measured
 //! on (on a single-CPU host the sweep measures scheduling overhead, not
 //! speedup — the JSON says so rather than hiding it).
+//!
+//! `seconds` comes from an untraced run. Each cell's `phases_micros`
+//! comes from one extra traced repeat: the self time of every span name
+//! (see [`foc_obs::self_times`]). At threads = 1 they sum to the traced
+//! session's wall time; at more threads the `cluster` spans of different
+//! workers overlap, so the sum can exceed it.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
-use foc_core::{EngineKind, Evaluator};
+use foc_core::{EngineKind, EngineStats, Evaluator};
 use foc_logic::parse::{parse_formula, parse_term};
+use foc_obs::{self_times, MemorySink, Sink};
 use foc_structures::gen::{bounded_degree, grid, random_tree};
 use foc_structures::Structure;
 use rand::rngs::StdRng;
@@ -62,8 +71,8 @@ fn workloads(quick: bool) -> Vec<Workload> {
     ]
 }
 
-/// One measured cell of the sweep, including the session's metrics
-/// snapshot (counters plus per-phase wall time) so the JSON record can
+/// One measured cell of the sweep, including the session's counters and
+/// the span self times of a traced repeat, so the JSON record can
 /// explain *where* a cell's time went, not just how long it took.
 struct Cell {
     workload: &'static str,
@@ -79,18 +88,14 @@ struct Cell {
     cache_hits: u64,
     cache_misses: u64,
     balls: u64,
-    materialize_micros: u64,
-    decompose_micros: u64,
-    cover_micros: u64,
-    eval_micros: u64,
+    /// Self time per span name of the traced repeat, in microseconds.
+    phases_micros: BTreeMap<&'static str, u64>,
 }
 
-fn run_cell(w: &Workload, threads: usize, baseline: Option<&(i64, f64)>) -> (i64, Cell) {
-    let ev = Evaluator::builder()
-        .kind(EngineKind::Cover)
-        .threads(threads)
-        .build()
-        .unwrap();
+/// One session of `w` on `ev`: the answer, its wall time in seconds and
+/// the session's counters. The session has dropped on return, so a sink
+/// attached to `ev` holds the complete span tree.
+fn evaluate(ev: &Evaluator, w: &Workload) -> (i64, f64, EngineStats) {
     let mut session = ev.session(&w.structure);
     let t0 = Instant::now();
     let value = match (&w.term, &w.sentence) {
@@ -98,8 +103,19 @@ fn run_cell(w: &Workload, threads: usize, baseline: Option<&(i64, f64)>) -> (i64
         (None, Some(f)) => session.check_sentence(f).unwrap() as i64,
         _ => unreachable!("workload has neither term nor sentence"),
     };
-    let secs = t0.elapsed().as_secs_f64();
-    let stats = session.stats();
+    (value, t0.elapsed().as_secs_f64(), session.stats())
+}
+
+fn run_cell(w: &Workload, threads: usize, baseline: Option<&(i64, f64)>) -> (i64, Cell) {
+    let builder = Evaluator::builder()
+        .kind(EngineKind::Cover)
+        .threads(threads);
+    let (value, secs, stats) = evaluate(&builder.clone().build().unwrap(), w);
+    let mem = MemorySink::shared();
+    evaluate(
+        &builder.sink(mem.clone() as Arc<dyn Sink>).build().unwrap(),
+        w,
+    );
     let cell = Cell {
         workload: w.label,
         order: w.structure.order(),
@@ -114,10 +130,10 @@ fn run_cell(w: &Workload, threads: usize, baseline: Option<&(i64, f64)>) -> (i64
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
         balls: stats.balls,
-        materialize_micros: stats.phase.materialize.as_micros() as u64,
-        decompose_micros: stats.phase.decompose.as_micros() as u64,
-        cover_micros: stats.phase.cover.as_micros() as u64,
-        eval_micros: stats.phase.eval.as_micros() as u64,
+        phases_micros: self_times(&mem.spans())
+            .into_iter()
+            .map(|(name, nanos)| (name, nanos / 1_000))
+            .collect(),
     };
     (value, cell)
 }
@@ -157,10 +173,14 @@ fn emit_json(cells: &[Cell], quick: bool) -> String {
         let _ = writeln!(out, "      \"cache_misses\": {},", c.cache_misses);
         let _ = writeln!(out, "      \"balls\": {},", c.balls);
         let _ = writeln!(out, "      \"phases_micros\": {{");
-        let _ = writeln!(out, "        \"materialize\": {},", c.materialize_micros);
-        let _ = writeln!(out, "        \"decompose\": {},", c.decompose_micros);
-        let _ = writeln!(out, "        \"cover\": {},", c.cover_micros);
-        let _ = writeln!(out, "        \"eval\": {}", c.eval_micros);
+        for (j, (name, micros)) in c.phases_micros.iter().enumerate() {
+            let comma = if j + 1 < c.phases_micros.len() {
+                ","
+            } else {
+                ""
+            };
+            let _ = writeln!(out, "        \"{name}\": {micros}{comma}");
+        }
         let _ = writeln!(out, "      }}");
         let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
     }
@@ -248,16 +268,14 @@ mod tests {
             cache_hits: 1,
             cache_misses: 2,
             balls: 11,
-            materialize_micros: 100,
-            decompose_micros: 20,
-            cover_micros: 30,
-            eval_micros: 80,
+            phases_micros: BTreeMap::from([("eval", 80), ("session", 20)]),
         }];
         let json = emit_json(&cells, true);
         assert!(json.contains("\"cpus\""));
         assert!(json.contains("\"speedup_vs_1\": 1.900"));
         assert!(json.contains("\"identical_to_sequential\": true"));
         assert!(json.contains("\"phases_micros\""));
+        assert!(json.contains("\"session\": 20"));
         assert!(json.contains("\"balls\": 11"));
         // Balanced braces/brackets — cheap well-formedness proxy without a
         // JSON parser in the tree.
@@ -278,5 +296,9 @@ mod tests {
         assert_eq!(v1, v2);
         assert!(c2.identical);
         assert!(c2.clusters > 0);
+        assert!(
+            c1.phases_micros.contains_key("cover"),
+            "traced repeat spans the cover phase"
+        );
     }
 }

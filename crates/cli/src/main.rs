@@ -54,8 +54,9 @@
 //! status line per poll, or the full field table with `--once`.
 //!
 //! Every evaluation subcommand also accepts `--trace` (stream finished
-//! spans to stderr), `--profile` (print the per-phase wall-time table),
-//! and `--metrics-json <path>` (write the session's counters,
+//! spans to stderr), `--profile` (print the self time of each span
+//! name; the rows sum to the session's wall time), and `--metrics-json
+//! <path>` (write the same self times, the session's counters,
 //! histograms, and span list as JSON). `foc explain` runs the query
 //! with an in-memory span sink and renders the full span tree plus the
 //! metrics table.
@@ -72,7 +73,8 @@ use foc_core::{DegradePolicy, EngineKind, EngineStats, Evaluator, Session};
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_logic::Var;
 use foc_obs::{
-    build_tree, render_metrics_table, render_tree, session_json, MemorySink, Sink, StderrSink,
+    build_tree, render_metrics_table, render_tree, self_times, session_json, FinishedSpan,
+    MemorySink, Sink, StderrSink,
 };
 use foc_structures::gen as generators;
 use foc_structures::io::{parse_structure, write_structure};
@@ -186,10 +188,12 @@ options:
                                thread (default: 1)
   --trace                      stream finished spans to stderr as
                                [foc-trace] lines
-  --profile                    print the per-phase wall-time table and
-                               work counters after the answer
-  --metrics-json <path>        write the session's phases, counters,
-                               histograms, and spans as JSON to <path>
+  --profile                    print the self time of each span (the
+                               rows sum to the session's wall time)
+                               and work counters after the answer
+  --metrics-json <path>        write the session's span self times,
+                               counters, histograms, and spans as JSON
+                               to <path>
   --timeout <ms>               wall-clock deadline for the evaluation;
                                interrupted runs exit with code 3
   --fuel <n>                   deterministic work allowance (guard
@@ -353,17 +357,14 @@ fn report_approx(ev: &Evaluator, v: &foc_core::ApproxValue, elapsed: Duration) {
     }
 }
 
-/// The `--profile` report: per-phase wall time plus the work counters.
-fn profile_table(stats: &EngineStats) -> String {
+/// The `--profile` report: self time per span name (the rows sum to
+/// the session's wall time; the `session` row is the time no phase span
+/// claimed) plus the work counters.
+fn profile_table(stats: &EngineStats, spans: &[FinishedSpan]) -> String {
     let mut out = String::new();
-    out.push_str("phase        micros\n");
-    for (name, d) in [
-        ("materialize", stats.phase.materialize),
-        ("decompose", stats.phase.decompose),
-        ("cover", stats.phase.cover),
-        ("eval", stats.phase.eval),
-    ] {
-        out.push_str(&format!("{name:<12} {}\n", d.as_micros()));
+    out.push_str("span         self micros\n");
+    for (name, nanos) in self_times(spans) {
+        out.push_str(&format!("{name:<12} {}\n", nanos / 1_000));
     }
     out.push_str(&format!(
         "markers={} clterms={} basics={} fallbacks={} sentences={}\n",
@@ -396,29 +397,26 @@ fn finish_session(
     let stats = session.stats();
     let snap = session.observer().metrics().snapshot();
     drop(session);
+    let spans = mem.map(|m| m.spans()).unwrap_or_default();
     if has_flag(args, "--profile") {
-        eprint!("{}", profile_table(&stats));
+        eprint!("{}", profile_table(&stats, &spans));
     }
     if let Some(path) = flag_value(args, "--metrics-json") {
-        let spans = mem.map(|m| m.spans()).unwrap_or_default();
-        let phases = [
-            ("materialize", stats.phase.materialize.as_micros() as u64),
-            ("decompose", stats.phase.decompose.as_micros() as u64),
-            ("cover", stats.phase.cover.as_micros() as u64),
-            ("eval", stats.phase.eval.as_micros() as u64),
-        ];
         let engine = format!("{:?}", ev.kind()).to_lowercase();
-        let json = session_json(&engine, &phases, &snap, &spans);
+        let json = session_json(&engine, &snap, &spans);
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     Ok(())
 }
 
-/// The in-memory sink backing `--metrics-json` span capture, when asked
-/// for.
+/// The in-memory sink backing `--metrics-json` and `--profile`, when
+/// either is asked for: both report span self times. An `--anytime`
+/// profile is the pass table, which needs no spans, so it runs
+/// untraced.
 fn metrics_sink(args: &[String]) -> Option<Arc<MemorySink>> {
-    flag_value(args, "--metrics-json").map(|_| MemorySink::shared())
+    let profile = has_flag(args, "--profile") && !has_flag(args, "--anytime");
+    (profile || flag_value(args, "--metrics-json").is_some()).then(MemorySink::shared)
 }
 
 /// Renders the per-pass table of an `--anytime` run: one row per rung
@@ -607,8 +605,8 @@ fn cmd_count(args: &[String]) -> CliResult {
 }
 
 /// `foc explain`: run a sentence or ground term with an in-memory span
-/// sink and render the span tree, the metrics table, and the phase
-/// profile. Works with every engine; the local and cover engines
+/// sink and render the span tree, the metrics table, and the span
+/// self-time profile. Works with every engine; the local and cover engines
 /// produce the interesting trees.
 fn cmd_explain(args: &[String]) -> CliResult {
     let pos = positional(args);
@@ -656,16 +654,10 @@ fn cmd_explain(args: &[String]) -> CliResult {
     println!("metrics:");
     print!("{}", render_metrics_table(&snap));
     println!();
-    print!("{}", profile_table(&stats));
+    print!("{}", profile_table(&stats, &mem.spans()));
     if let Some(json_path) = flag_value(args, "--metrics-json") {
-        let phases = [
-            ("materialize", stats.phase.materialize.as_micros() as u64),
-            ("decompose", stats.phase.decompose.as_micros() as u64),
-            ("cover", stats.phase.cover.as_micros() as u64),
-            ("eval", stats.phase.eval.as_micros() as u64),
-        ];
         let engine = format!("{:?}", ev.kind()).to_lowercase();
-        let json = session_json(&engine, &phases, &snap, &mem.spans());
+        let json = session_json(&engine, &snap, &mem.spans());
         std::fs::write(json_path, json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
         eprintln!("wrote {json_path}");
     }
@@ -677,8 +669,8 @@ fn cmd_explain(args: &[String]) -> CliResult {
 
 /// The `--anytime` arm of `foc explain`: run the deepening driver and
 /// render the per-pass table in place of the single-session profile
-/// (the passes run their own sessions, so there is no one phase table
-/// to print). A banked answer exits 0 even when the budget tripped;
+/// (the passes run their own sessions, so there is no one self-time
+/// table to print). A banked answer exits 0 even when the budget tripped;
 /// only a zero-progress run keeps the interrupt exit code, after still
 /// rendering whatever spans the attempts produced.
 fn explain_anytime(s: &Structure, src: &str, ev: &Evaluator, mem: &Arc<MemorySink>) -> CliResult {
@@ -858,7 +850,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         let report = foc_diff::fuzz_crash(&cfg, &metrics, &mut stdout);
         drop(stdout);
         if let Some(path) = flag_value(args, "--metrics-json") {
-            let json = session_json("fuzz-crash", &[], &metrics.snapshot(), &[]);
+            let json = session_json("fuzz-crash", &metrics.snapshot(), &[]);
             std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
@@ -891,7 +883,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         let report = foc_diff::fuzz_updates(&cfg, &metrics, &mut stdout);
         drop(stdout);
         if let Some(path) = flag_value(args, "--metrics-json") {
-            let json = session_json("fuzz-updates", &[], &metrics.snapshot(), &[]);
+            let json = session_json("fuzz-updates", &metrics.snapshot(), &[]);
             std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
@@ -950,7 +942,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     };
     drop(stdout);
     if let Some(path) = flag_value(args, "--metrics-json") {
-        let json = session_json("fuzz", &[], &metrics.snapshot(), &[]);
+        let json = session_json("fuzz", &metrics.snapshot(), &[]);
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
@@ -1119,7 +1111,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         report.connections_joined,
     );
     if let Some(path) = flag_value(args, "--metrics-json") {
-        let json = session_json("serve", &[], snap, &[]);
+        let json = session_json("serve", snap, &[]);
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use foc_covers::{CoverConfig, CoverEvaluator};
 use foc_eval::{eval_query, Assignment, FreeVarElim, NaiveEvaluator, QueryResult, QueryRow};
@@ -88,27 +88,6 @@ pub enum DegradePolicy {
     Strict,
 }
 
-/// Per-phase wall time of one evaluation session.
-///
-/// Phases nest: marker materialisation evaluates the counting terms that
-/// define each marker, so `materialize` *includes* the decomposition and
-/// evaluation time spent below it; `decompose` and `eval` partition the
-/// work under a counting component; `cover` is the slice of `eval` spent
-/// constructing neighbourhood covers (reported by the cover engine).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseTimes {
-    /// Predicate-to-marker materialisation (the Theorem 6.10 / Gaifman
-    /// normal form preprocessing), including nested evaluation of the
-    /// marker-defining terms.
-    pub materialize: Duration,
-    /// Decomposition of counting components into cl-terms (Lemma 6.4).
-    pub decompose: Duration,
-    /// Neighbourhood-cover construction inside the cover engine.
-    pub cover: Duration,
-    /// cl-term evaluation (ball enumeration / cover recursion).
-    pub eval: Duration,
-}
-
 /// Work counters and metrics of one evaluation session.
 ///
 /// This is a *typed view* over the session's metrics registry
@@ -153,8 +132,6 @@ pub struct EngineStats {
     pub degrade_naive: u64,
     /// Evaluations cut short by the resource budget.
     pub interrupted: u64,
-    /// Per-phase wall time.
-    pub phase: PhaseTimes,
 }
 
 /// One materialised marker of the decomposition plan (Theorem 6.10's
@@ -465,6 +442,7 @@ impl Evaluator {
             plan: Vec::new(),
             cache,
             metrics,
+            cur: root.handle(),
             root,
             obs,
             guard: self.budget.arm(),
@@ -562,10 +540,6 @@ struct SessionMetrics {
     covers_built: Counter,
     removals: Counter,
     peak_cluster: Gauge,
-    phase_materialize: Counter,
-    phase_decompose: Counter,
-    phase_cover: Counter,
-    phase_eval: Counter,
 }
 
 impl SessionMetrics {
@@ -583,10 +557,6 @@ impl SessionMetrics {
             covers_built: m.counter(names::COVER_BUILT),
             removals: m.counter(names::COVER_REMOVALS),
             peak_cluster: m.gauge(names::COVER_PEAK_CLUSTER),
-            phase_materialize: m.counter(names::PHASE_MATERIALIZE_NANOS),
-            phase_decompose: m.counter(names::PHASE_DECOMPOSE_NANOS),
-            phase_cover: m.counter(names::PHASE_COVER_NANOS),
-            phase_eval: m.counter(names::PHASE_EVAL_NANOS),
         }
     }
 }
@@ -608,6 +578,9 @@ pub struct Session<'a> {
     /// The session root span; finishes when the session drops, so sinks
     /// see the complete tree afterwards.
     root: Span,
+    /// The innermost open span: the parent of the next phase span and of
+    /// the sub-evaluators' spans (see [`Session::in_span`]).
+    cur: SpanHandle,
     /// The session's observability hub.
     obs: Arc<Observer>,
     /// The armed resource guard; clones are handed to every
@@ -628,12 +601,6 @@ impl<'a> Session<'a> {
     /// histograms and JSON export) and the attached sinks.
     pub fn observer(&self) -> &Arc<Observer> {
         &self.obs
-    }
-
-    /// A span handle parenting under the session root, for callers that
-    /// want to nest their own spans into the session's tree.
-    pub fn span_handle(&self) -> SpanHandle {
-        self.root.handle()
     }
 
     /// The request identity this session's budget was armed with, if
@@ -669,13 +636,25 @@ impl<'a> Session<'a> {
             degrade_local: snap.counter(names::ENGINE_DEGRADE_LOCAL),
             degrade_naive: snap.counter(names::ENGINE_DEGRADE_NAIVE),
             interrupted: snap.counter(names::ENGINE_INTERRUPTED),
-            phase: PhaseTimes {
-                materialize: Duration::from_nanos(snap.counter(names::PHASE_MATERIALIZE_NANOS)),
-                decompose: Duration::from_nanos(snap.counter(names::PHASE_DECOMPOSE_NANOS)),
-                cover: Duration::from_nanos(snap.counter(names::PHASE_COVER_NANOS)),
-                eval: Duration::from_nanos(snap.counter(names::PHASE_EVAL_NANOS)),
-            },
         }
+    }
+
+    /// Runs `f` inside a new span `name`, a child of the innermost open
+    /// span, with that new span as the parent of every span opened
+    /// during `f`; the outer parent is restored whatever `f` returns.
+    /// Spans therefore nest as the calls do, and their self times
+    /// partition the session's wall time.
+    fn in_span<R>(
+        &mut self,
+        name: &'static str,
+        attrs: &[(&'static str, i64)],
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let span = self.cur.child(name, attrs);
+        let outer = std::mem::replace(&mut self.cur, span.handle());
+        let r = f(self);
+        self.cur = outer;
+        r
     }
 
     /// Notes a budget interrupt in the metrics and the span tree before
@@ -728,13 +707,7 @@ impl<'a> Session<'a> {
         }
         check_foc1(f).map_err(|v| Error::NotFoc1(v.to_string()))?;
         foc_eval::validate::validate_formula(f, self.a.signature(), &self.ev.preds)?;
-        let span = self.root.handle().child("materialize", &[]);
-        let t0 = Instant::now();
-        let fo = self.materialize_formula(f)?;
-        self.metrics
-            .phase_materialize
-            .add(t0.elapsed().as_nanos() as u64);
-        drop(span);
+        let fo = self.in_span("materialize", &[], |s| s.materialize_formula(f))?;
         self.eval_fo_sentence(&fo)
     }
 
@@ -753,13 +726,7 @@ impl<'a> Session<'a> {
         }
         check_foc1_term(t).map_err(|v| Error::NotFoc1(v.to_string()))?;
         foc_eval::validate::validate_term(t, self.a.signature(), &self.ev.preds)?;
-        let span = self.root.handle().child("materialize", &[]);
-        let t0 = Instant::now();
-        let fo = self.materialize_term(t)?;
-        self.metrics
-            .phase_materialize
-            .add(t0.elapsed().as_nanos() as u64);
-        drop(span);
+        let fo = self.in_span("materialize", &[], |s| s.materialize_term(t))?;
         match self.eval_fo_term(&fo, None)? {
             Value::Scalar(v) => Ok(v),
             Value::Vector(_) => unreachable!("ground term produced a vector"),
@@ -791,13 +758,11 @@ impl<'a> Session<'a> {
             });
         }
         let x = q.head_vars[0];
-        check_foc1(&q.body).map_err(|v| Error::NotFoc1(v.to_string()))?;
-        let body_fo = self.materialize_formula(&q.body)?;
+        let body_fo = self.materialize_foc1(&q.body)?;
         // Head terms as per-element vectors.
         let mut term_values = Vec::with_capacity(q.head_terms.len());
         for t in &q.head_terms {
-            check_foc1_term(t).map_err(|v| Error::NotFoc1(v.to_string()))?;
-            let fo = self.materialize_term(t)?;
+            let fo = self.materialize_foc1_term(t)?;
             term_values.push(self.eval_fo_term(&fo, Some(x))?);
         }
         // Body truth per element (the body is FO over the expanded
@@ -1031,9 +996,7 @@ impl<'a> Session<'a> {
             self.metrics.fallbacks.inc();
             return self.eval_count_naive(counted, &resolved, x);
         }
-        let span = self.root.handle().child("decompose", &[]);
-        let t0 = Instant::now();
-        let result = (|| -> foc_locality::Result<ClTerm> {
+        let result = self.in_span("decompose", &[], |s| -> foc_locality::Result<ClTerm> {
             let mut vars: Vec<Var> = Vec::new();
             if let Some(x) = x {
                 vars.push(x);
@@ -1045,15 +1008,11 @@ impl<'a> Session<'a> {
                 locality_radius(&resolved)?
             };
             if x.is_some() {
-                decompose_unary_with_radius_guarded(&resolved, &vars, r, &self.guard)
+                decompose_unary_with_radius_guarded(&resolved, &vars, r, &s.guard)
             } else {
-                decompose_ground_with_radius_guarded(&resolved, &vars, r, &self.guard)
+                decompose_ground_with_radius_guarded(&resolved, &vars, r, &s.guard)
             }
-        })();
-        self.metrics
-            .phase_decompose
-            .add(t0.elapsed().as_nanos() as u64);
-        drop(span);
+        });
         match result {
             Ok(cl) => {
                 self.metrics.clterms.inc();
@@ -1116,17 +1075,18 @@ impl<'a> Session<'a> {
         Ok(current)
     }
 
-    /// Pre-processing entry points used by the constant-delay
-    /// enumeration (crate-internal).
-    pub(crate) fn materialize_for_enumeration(&mut self, f: &Arc<Formula>) -> Result<Arc<Formula>> {
+    /// Checks that `f` is FOC1(P) and materialises its predicate
+    /// applications in a `materialize` span (shared with the
+    /// constant-delay enumeration).
+    pub(crate) fn materialize_foc1(&mut self, f: &Arc<Formula>) -> Result<Arc<Formula>> {
         check_foc1(f).map_err(|v| Error::NotFoc1(v.to_string()))?;
-        self.materialize_formula(f)
+        self.in_span("materialize", &[], |s| s.materialize_formula(f))
     }
 
-    /// Term counterpart of [`Session::materialize_for_enumeration`].
-    pub(crate) fn materialize_term_for_enumeration(&mut self, t: &Arc<Term>) -> Result<Arc<Term>> {
+    /// Term counterpart of [`Session::materialize_foc1`].
+    pub(crate) fn materialize_foc1_term(&mut self, t: &Arc<Term>) -> Result<Arc<Term>> {
         check_foc1_term(t).map_err(|v| Error::NotFoc1(v.to_string()))?;
-        self.materialize_term(t)
+        self.in_span("materialize", &[], |s| s.materialize_term(t))
     }
 
     /// Evaluates an FO term as a per-element vector (crate-internal).
@@ -1138,38 +1098,30 @@ impl<'a> Session<'a> {
         self.eval_fo_term(t, Some(x))
     }
 
-    /// Dispatches basic-cl-term evaluation to the configured strategy,
-    /// wiring in the session cache, the thread budget, and the observer
-    /// (sub-evaluator spans nest under this call's `eval` span; their
-    /// counters land in the session registry — live for the local
-    /// engine and the histograms, folded once from the cover engine's
-    /// atomic snapshot for its counters).
+    /// Dispatches basic-cl-term evaluation to the configured strategy
+    /// inside an `eval` span, wiring in the session cache, the thread
+    /// budget, and the observer (sub-evaluator spans nest under the
+    /// `eval` span; their counters land in the session registry — live
+    /// for the local engine and the histograms, folded once from the
+    /// cover engine's atomic snapshot for its counters).
     fn eval_clterm(&mut self, cl: &ClTerm) -> Result<ClValue> {
-        let span = self
-            .root
-            .handle()
-            .child("eval", &[("basics", cl.num_basics() as i64)]);
-        let handle = span.handle();
-        let t0 = Instant::now();
-        let out = match self.ev.config.kind {
+        let basics = cl.num_basics() as i64;
+        self.in_span("eval", &[("basics", basics)], |s| match s.ev.config.kind {
             // Only reached from the enumeration preprocessing: the main
             // naive paths never decompose.
-            EngineKind::Naive => self.eval_clterm_reference(cl),
-            EngineKind::Local => {
-                let mut lev = self.local_evaluator(handle.clone());
-                Ok(lev.eval_clterm(cl)?)
-            }
+            EngineKind::Naive => s.eval_clterm_reference(cl),
+            EngineKind::Local => Ok(s.local_evaluator().eval_clterm(cl)?),
             EngineKind::Cover => {
                 let (r, cs) = {
-                    let mut cev = CoverEvaluator::new(&self.a, &self.ev.preds);
-                    cev.config = self.ev.config.cover;
-                    cev.config.threads = self.ev.config.threads;
-                    if let Some(cache) = &self.cache {
+                    let mut cev = CoverEvaluator::new(&s.a, &s.ev.preds);
+                    cev.config = s.ev.config.cover;
+                    cev.config.threads = s.ev.config.threads;
+                    if let Some(cache) = &s.cache {
                         cev.set_cache(cache.clone());
                     }
-                    cev.set_observer(handle.clone());
-                    cev.set_guard(self.guard.clone());
-                    cev.fault_panic_element = self.ev.fault_panic_element;
+                    cev.set_observer(s.cur.clone());
+                    cev.set_guard(s.guard.clone());
+                    cev.fault_panic_element = s.ev.fault_panic_element;
                     let r = cev.eval_clterm(cl);
                     (r, cev.stats())
                 };
@@ -1177,28 +1129,22 @@ impl<'a> Session<'a> {
                 // once here; its cluster-size histogram (and the ball
                 // counters of the nested local evaluators) are recorded
                 // live through the observer.
-                self.metrics.clusters.add(cs.clusters);
-                self.metrics.covers_built.add(cs.covers_built);
-                self.metrics.removals.add(cs.removals);
-                self.metrics.fallbacks.add(cs.naive_fallbacks);
-                self.metrics
-                    .peak_cluster
-                    .set_max(u64::from(cs.peak_cluster));
-                self.metrics.phase_cover.add(cs.cover_nanos);
+                s.metrics.clusters.add(cs.clusters);
+                s.metrics.covers_built.add(cs.covers_built);
+                s.metrics.removals.add(cs.removals);
+                s.metrics.fallbacks.add(cs.naive_fallbacks);
+                s.metrics.peak_cluster.set_max(u64::from(cs.peak_cluster));
                 match r {
                     Ok(v) => Ok(v),
-                    Err(e) => self.degrade_clterm(cl, e.into(), handle.clone()),
+                    Err(e) => s.degrade_clterm(cl, e.into()),
                 }
             }
-        };
-        self.metrics.phase_eval.add(t0.elapsed().as_nanos() as u64);
-        drop(span);
-        out
+        })
     }
 
     /// A ball-enumeration evaluator wired to the session (cache,
     /// threads, observer, guard, fault injection).
-    fn local_evaluator(&self, handle: SpanHandle) -> LocalEvaluator<'_> {
+    fn local_evaluator(&self) -> LocalEvaluator<'_> {
         let mut lev = LocalEvaluator::new(&self.a, &self.ev.preds);
         lev.threads = self.ev.config.threads;
         if let Some(cache) = &self.cache {
@@ -1206,7 +1152,7 @@ impl<'a> Session<'a> {
         }
         // The observer counts balls live (workers included), so nothing
         // is folded from `lev.stats` here.
-        lev.set_observer(handle);
+        lev.set_observer(self.cur.clone());
         lev.set_guard(self.guard.clone());
         lev.fault_panic_element = self.ev.fault_panic_element;
         lev
@@ -1216,9 +1162,9 @@ impl<'a> Session<'a> {
     /// ball enumeration, then with the reference evaluator. Only
     /// capability errors walk down; under [`DegradePolicy::Strict`] the
     /// original error surfaces instead.
-    fn degrade_clterm(&mut self, cl: &ClTerm, err: Error, handle: SpanHandle) -> Result<ClValue> {
+    fn degrade_clterm(&mut self, cl: &ClTerm, err: Error) -> Result<ClValue> {
         self.degrade(err, EngineKind::Local)?;
-        let r = self.local_evaluator(handle).eval_clterm(cl);
+        let r = self.local_evaluator().eval_clterm(cl);
         match r {
             Ok(v) => Ok(v),
             Err(e) => {

@@ -84,10 +84,10 @@ impl Evaluator {
         let x = q.head_vars[0];
         let mut session = self.session(a);
         foc_eval::validate::validate_query(q, a.signature(), &self.preds)?;
-        let body_fo = session.materialize_for_enumeration(&q.body)?;
+        let body_fo = session.materialize_foc1(&q.body)?;
         let mut term_values = Vec::with_capacity(q.head_terms.len());
         for t in &q.head_terms {
-            let fo = session.materialize_term_for_enumeration(t)?;
+            let fo = session.materialize_foc1_term(t)?;
             term_values.push(session.eval_term_vector(&fo, x)?);
         }
         // The body over the expanded structure is FO with materialised

@@ -46,7 +46,7 @@ pub use approx::{sample_size, ApproxConfig, ApproxValue};
 pub use dynamic::{EdgeUpdate, MaintainedTerm};
 pub use engine::{
     DegradePolicy, EngineConfig, EngineKind, EngineStats, Evaluator, EvaluatorBuilder, MarkerDef,
-    PhaseTimes, Session,
+    Session,
 };
 pub use enumerate::QueryEnumerator;
 pub use error::{Error, Result};

@@ -389,8 +389,6 @@ fn queries_with_unary_head() {
 // distributed dynamically, but every value is written back under its element
 // id, so scheduling order never shows through.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -502,14 +500,6 @@ fn parallel_runs_populate_structured_metrics() {
         "peak cluster size must be tracked"
     );
     assert!(session.stats().covers_built > 0);
-    assert!(
-        session.stats().phase.eval > Duration::ZERO,
-        "eval phase must be timed"
-    );
-    assert!(
-        session.stats().phase.decompose > Duration::ZERO,
-        "decompose phase must be timed"
-    );
     // Re-running the same sentence resolves fresh markers over the same
     // basic cl-terms: the session-wide memo must convert those into hits.
     let misses_before = session.stats().cache_misses;

@@ -2,14 +2,21 @@
 //! over a generated grid must populate the metrics registry (counters,
 //! the cluster/ball histograms, the term cache), keep histogram totals
 //! consistent with their counters, and emit a span tree whose `cover`
-//! span nests under the session root.
+//! span nests under the session root. The span tree is also the only
+//! phase clock, so its nesting is checked as an invariant: every span
+//! lies inside its parent and, sequentially, self times add up to the
+//! session's wall time.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use foc_core::{EngineKind, Evaluator};
-use foc_logic::parse::parse_term;
-use foc_obs::{build_tree, names, MemorySink, Sink};
-use foc_structures::gen::grid;
+use foc_logic::parse::{parse_formula, parse_term};
+use foc_obs::{build_tree, names, self_times, FinishedSpan, MemorySink, Sink};
+use foc_structures::gen::{bounded_degree, grid, random_tree};
+use foc_structures::Structure;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn cover_engine_metrics_and_span_tree() {
@@ -97,4 +104,129 @@ fn disabled_observer_still_feeds_stats() {
     let stats = session.stats();
     assert!(stats.clusters > 0);
     assert!(stats.covers_built > 0);
+}
+
+/// The benchmark's five queries: `(text, is a sentence)`. Three of them
+/// count inside a predicate or a comparison, so their markers run
+/// nested `decompose` and `eval` work.
+const QUERIES: [(&str, bool); 5] = [
+    (
+        "@even(#(x,y). !(dist(x,y) <= 2)) & exists x. #(y). (E(x,y) & #(z). E(y,z) = 1) >= 2",
+        true,
+    ),
+    ("exists x. (#(y). E(x,y) = #(z). (#(w). E(z,w) = 2))", true),
+    ("#(x,y). (!(E(x,y)) & !(x = y))", false),
+    ("#(x,y). !(dist(x,y) <= 2)", false),
+    ("#(x,y). (E(x,y) & #(z). E(y,z) = 1)", false),
+];
+
+fn inputs() -> Vec<(&'static str, Structure)> {
+    let mut rng = StdRng::seed_from_u64(21);
+    vec![
+        ("tree", random_tree(120, &mut rng)),
+        ("grid", grid(10, 10)),
+        ("degree3", bounded_degree(120, 3, 360, &mut rng)),
+    ]
+}
+
+/// Runs one query in a traced session and returns its finished spans.
+fn traced(
+    kind: EngineKind,
+    threads: usize,
+    a: &Structure,
+    (text, sentence): (&str, bool),
+) -> Vec<FinishedSpan> {
+    let sink = MemorySink::shared();
+    let ev = Evaluator::builder()
+        .kind(kind)
+        .threads(threads)
+        .sink(sink.clone() as Arc<dyn Sink>)
+        .build()
+        .unwrap();
+    let mut session = ev.session(a);
+    if sentence {
+        session
+            .check_sentence(&parse_formula(text).unwrap())
+            .unwrap();
+    } else {
+        session.eval_ground(&parse_term(text).unwrap()).unwrap();
+    }
+    drop(session);
+    sink.spans()
+}
+
+/// Every non-root span lies inside its parent. With `sequential`, the
+/// children of one span also do not overlap, and the self times sum to
+/// the root's duration exactly.
+fn assert_nested(spans: &[FinishedSpan], sequential: bool, ctx: &str) {
+    let end = |s: &FinishedSpan| s.start_nanos + s.dur_nanos;
+    let by_id: HashMap<u32, &FinishedSpan> = spans.iter().map(|s| (s.id, s)).collect();
+    let roots: Vec<&FinishedSpan> = spans.iter().filter(|s| s.parent.is_none()).collect();
+    assert_eq!(roots.len(), 1, "{ctx}: one session root");
+    let mut children: HashMap<u32, Vec<&FinishedSpan>> = HashMap::new();
+    for s in spans {
+        let Some(p) = s.parent else { continue };
+        let parent = by_id[&p];
+        assert!(
+            parent.start_nanos <= s.start_nanos && end(s) <= end(parent),
+            "{ctx}: {} [{}, {}] escapes its parent {} [{}, {}]",
+            s.name,
+            s.start_nanos,
+            end(s),
+            parent.name,
+            parent.start_nanos,
+            end(parent)
+        );
+        children.entry(p).or_default().push(s);
+    }
+    if !sequential {
+        return;
+    }
+    for (p, mut kids) in children {
+        kids.sort_by_key(|s| s.start_nanos);
+        for w in kids.windows(2) {
+            assert!(
+                end(w[0]) <= w[1].start_nanos,
+                "{ctx}: siblings {} and {} under {} overlap",
+                w[0].name,
+                w[1].name,
+                by_id[&p].name
+            );
+        }
+    }
+    let total: u64 = self_times(spans).values().sum();
+    assert_eq!(
+        total, roots[0].dur_nanos,
+        "{ctx}: self times must partition the session"
+    );
+}
+
+#[test]
+fn span_self_times_partition_the_session() {
+    let mut timed: HashMap<&str, u64> = HashMap::new();
+    for (class, a) in inputs() {
+        for q in QUERIES {
+            for kind in [EngineKind::Local, EngineKind::Cover] {
+                let spans = traced(kind, 1, &a, q);
+                let ctx = format!("{kind:?} on {class}: {}", q.0);
+                assert_nested(&spans, true, &ctx);
+                for phase in ["decompose", "eval"] {
+                    assert!(
+                        spans.iter().any(|s| s.name == phase),
+                        "{ctx}: no {phase} span"
+                    );
+                    *timed.entry(phase).or_default() += self_times(&spans)[phase];
+                }
+                assert_nested(
+                    &traced(kind, 2, &a, q),
+                    false,
+                    &format!("{ctx} (2 threads)"),
+                );
+            }
+        }
+    }
+    assert!(
+        timed["decompose"] > 0 && timed["eval"] > 0,
+        "phases must be timed: {timed:?}"
+    );
 }

@@ -54,7 +54,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use foc_eval::{Assignment, NaiveEvaluator};
 use foc_guard::{Guard, Phase};
@@ -99,8 +98,6 @@ pub struct CoverStats {
     pub naive_fallbacks: u64,
     /// Order of the largest cluster handed to cluster-local evaluation.
     pub peak_cluster: u32,
-    /// Wall time spent constructing neighbourhood covers, in nanoseconds.
-    pub cover_nanos: u64,
 }
 
 /// Tuning knobs for the cover engine.
@@ -171,7 +168,6 @@ struct SharedStats {
     removals: AtomicU64,
     naive_fallbacks: AtomicU64,
     peak_cluster: AtomicU64,
-    cover_nanos: AtomicU64,
 }
 
 impl SharedStats {
@@ -182,7 +178,6 @@ impl SharedStats {
             removals: self.removals.load(Ordering::Relaxed),
             naive_fallbacks: self.naive_fallbacks.load(Ordering::Relaxed),
             peak_cluster: self.peak_cluster.load(Ordering::Relaxed) as u32,
-            cover_nanos: self.cover_nanos.load(Ordering::Relaxed),
         }
     }
 
@@ -424,11 +419,7 @@ impl<'a> CoverEvaluator<'a> {
             )
         });
         let cover_handle = cover_span.as_ref().map(|sp| sp.handle());
-        let t0 = Instant::now();
         let cover = cover_structure(s, radius);
-        self.stats
-            .cover_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.stats.covers_built.fetch_add(1, Ordering::Relaxed);
         if let Some(sp) = &cover_span {
             sp.record("clusters", cover.clusters.len() as i64);

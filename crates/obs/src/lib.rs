@@ -64,7 +64,7 @@ pub use metrics::{
 pub use recorder::{FlightEvent, FlightRecorder};
 pub use report::{
     build_tree, quantile, quantile_detail, quantiles, render_metrics_table, render_tree,
-    session_json, Quantiles, SpanNode,
+    self_times, session_json, Quantiles, SpanNode,
 };
 pub use sink::{JsonLinesSink, MemorySink, Sink, StderrSink};
 pub use span::{AttrValue, FinishedSpan, Observer, Span, SpanHandle};

@@ -66,15 +66,6 @@ pub const PARALLEL_WORKERS: &str = "parallel.workers";
 /// Distribution of batches claimed per worker per fan-out. Histogram.
 pub const PARALLEL_BATCHES_PER_WORKER: &str = "parallel.batches_per_worker";
 
-/// Wall nanoseconds of marker materialisation. Counter.
-pub const PHASE_MATERIALIZE_NANOS: &str = "phase.materialize_nanos";
-/// Wall nanoseconds of cl-term decomposition. Counter.
-pub const PHASE_DECOMPOSE_NANOS: &str = "phase.decompose_nanos";
-/// Wall nanoseconds of neighbourhood-cover construction. Counter.
-pub const PHASE_COVER_NANOS: &str = "phase.cover_nanos";
-/// Wall nanoseconds of cl-term evaluation. Counter.
-pub const PHASE_EVAL_NANOS: &str = "phase.eval_nanos";
-
 /// Differential cases the fuzz harness generated or replayed. Counter.
 pub const FUZZ_CASES: &str = "fuzz.cases";
 /// Cross-engine divergences detected (before shrinking). Counter.

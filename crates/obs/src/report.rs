@@ -1,6 +1,7 @@
 //! Report rendering: span trees, metrics tables, and the JSON export
 //! consumed by `foc … --metrics-json` (and validated in CI).
 
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
@@ -239,14 +240,53 @@ pub fn render_metrics_table(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// The JSON export of one evaluation session: phase wall times, every
-/// registry instrument, and the span list. The schema is pinned by CI:
-/// the top level always contains `phases`, `counters`, and `spans`.
+/// Self time per span name, in nanoseconds, summed over the tree: a
+/// span's duration minus the union of its children's intervals.
+/// Children of one parent overlap when the cover engine fans clusters
+/// out over worker threads, so the covered part is their union, not
+/// their sum. With sequential spans the self times partition the root's
+/// wall time, and the root's own entry is the time no phase span
+/// claimed.
+pub fn self_times(spans: &[FinishedSpan]) -> BTreeMap<&'static str, u64> {
+    let mut children: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
+    for s in spans {
+        if let Some(p) = s.parent {
+            children
+                .entry(p)
+                .or_default()
+                .push((s.start_nanos, s.start_nanos + s.dur_nanos));
+        }
+    }
+    let mut out = BTreeMap::new();
+    for s in spans {
+        let (lo, hi) = (s.start_nanos, s.start_nanos + s.dur_nanos);
+        let mut ivs = children.remove(&s.id).unwrap_or_default();
+        ivs.sort_unstable();
+        let (mut covered, mut reach) = (0u64, lo);
+        for (a, b) in ivs {
+            let (a, b) = (a.max(reach), b.min(hi));
+            if b > a {
+                covered += b - a;
+                reach = b;
+            }
+        }
+        *out.entry(s.name).or_default() += s.dur_nanos.saturating_sub(covered);
+    }
+    out
+}
+
+/// The JSON export of one evaluation session: per-span self times,
+/// every registry instrument, and the span list. The schema is pinned
+/// by CI: the top level always contains `phases`, `counters`, and
+/// `spans`. `phases` holds [`self_times`] of `spans` as
+/// `<span>_micros`; `session_micros` is the root's own, unattributed
+/// time, and on one thread the entries sum to the session's wall time.
 ///
 /// ```text
 /// {
 ///   "engine": "cover",
-///   "phases": {"materialize_micros": 120, "decompose_micros": 30, …},
+///   "phases": {"cover_micros": 120, "decompose_micros": 30, …,
+///              "session_micros": 12},
 ///   "counters": {"cover.clusters": 12, …},
 ///   "gauges": {"cover.peak_cluster": 25, …},
 ///   "histograms": {"cover.cluster_size": {"bounds": […], "counts": […],
@@ -254,19 +294,20 @@ pub fn render_metrics_table(snap: &MetricsSnapshot) -> String {
 ///   "spans": [{"span": "session", "id": 0, "parent": null, …}, …]
 /// }
 /// ```
-pub fn session_json(
-    engine: &str,
-    phases: &[(&str, u64)],
-    snap: &MetricsSnapshot,
-    spans: &[FinishedSpan],
-) -> String {
+pub fn session_json(engine: &str, snap: &MetricsSnapshot, spans: &[FinishedSpan]) -> String {
+    let phases = self_times(spans);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(engine));
     let _ = writeln!(out, "  \"phases\": {{");
-    for (i, (name, micros)) in phases.iter().enumerate() {
+    for (i, (name, nanos)) in phases.iter().enumerate() {
         let comma = if i + 1 < phases.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}_micros\": {micros}{comma}", json_escape(name));
+        let _ = writeln!(
+            out,
+            "    \"{}_micros\": {}{comma}",
+            json_escape(name),
+            nanos / 1_000
+        );
     }
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"counters\": {{");
@@ -381,12 +422,7 @@ mod tests {
         m.counter("cover.clusters").add(3);
         m.gauge("cover.peak_cluster").set(9);
         m.histogram("cover.cluster_size", &[1, 4, 16]).observe(9);
-        let json = session_json(
-            "cover",
-            &[("materialize", 120), ("eval", 55)],
-            &m.snapshot(),
-            &spans(),
-        );
+        let json = session_json("cover", &m.snapshot(), &spans());
         for key in [
             "\"phases\"",
             "\"counters\"",
@@ -396,10 +432,40 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}");
         }
-        assert!(json.contains("\"materialize_micros\": 120"));
+        assert!(json.contains("\"eval_micros\": 0"));
         assert!(json.contains("\"cover.clusters\": 3"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn self_times_partition_nested_spans_and_union_overlaps() {
+        let span = |id, parent, name, start_nanos, dur_nanos| FinishedSpan {
+            id,
+            parent,
+            name,
+            start_nanos,
+            dur_nanos,
+            attrs: vec![],
+        };
+        let t = self_times(&spans());
+        assert_eq!((t["session"], t["eval"], t["cover"]), (50, 40, 10));
+        assert_eq!(
+            t.values().sum::<u64>(),
+            100,
+            "sequential spans partition the root"
+        );
+        // Parallel siblings overlap: the parent loses their union once.
+        let par = [
+            span(3, Some(1), "ball_enum", 10, 5),
+            span(1, Some(0), "cluster", 10, 40),
+            span(2, Some(0), "cluster", 30, 40),
+            span(0, None, "session", 0, 100),
+        ];
+        let t = self_times(&par);
+        assert_eq!(t["session"], 40);
+        assert_eq!(t["cluster"], 35 + 40);
+        assert_eq!(t["ball_enum"], 5);
     }
 
     #[test]
