@@ -18,7 +18,7 @@
 //! | E10 | Lemmas 7.8/7.9 — the Removal Lemma |
 //! | E11 | ablations of this implementation's design choices |
 //! | E12 | parallel cluster evaluation — thread sweep + BENCH_parallel.json |
-//! | E14 | live updates — delta maintenance vs rebuild + BENCH_updates.json |
+//! | E14 | live updates — the serve write path (commit, `migrate_cache`, cached evaluation) vs rebuild + BENCH_updates.json |
 //! | E15 | anytime evaluation — quality vs budget curve + BENCH_anytime.json |
 //! | E16 | approximate counting — speedup vs epsilon + BENCH_approx.json |
 //!

@@ -209,13 +209,6 @@ impl Evaluator {
         self.approx.unwrap_or_default()
     }
 
-    /// Whether an explicit approx knob was configured (the CLI and the
-    /// server use this to decide whether a request *asked* for the
-    /// estimator rather than merely allowing the anytime rung).
-    pub fn approx_requested(&self) -> bool {
-        self.approx.is_some()
-    }
-
     /// One sampler run over `#(vars).body`, optionally under a pass
     /// slice `(deadline, fuel)` that overrides the engine budget (the
     /// anytime ladder's arming pattern).

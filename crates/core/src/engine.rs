@@ -42,7 +42,6 @@ use foc_obs::{names, Counter, Gauge, Metrics, Observer, Sink, Span, SpanHandle};
 use foc_structures::{FxHashMap, RelDecl, Structure};
 
 use crate::error::{Error, Result};
-use crate::value::Value;
 
 /// Validates a caller-supplied parameter tuple against the universe:
 /// out-of-range ids surface as a typed error instead of a downstream
@@ -728,8 +727,8 @@ impl<'a> Session<'a> {
         foc_eval::validate::validate_term(t, self.a.signature(), &self.ev.preds)?;
         let fo = self.in_span("materialize", &[], |s| s.materialize_term(t))?;
         match self.eval_fo_term(&fo, None)? {
-            Value::Scalar(v) => Ok(v),
-            Value::Vector(_) => unreachable!("ground term produced a vector"),
+            ClValue::Scalar(v) => Ok(v),
+            ClValue::Vector(_) => unreachable!("ground term produced a vector"),
         }
     }
 
@@ -777,7 +776,7 @@ impl<'a> Session<'a> {
                     elems: vec![e],
                     counts: term_values
                         .iter()
-                        .map(|v| v.at(e))
+                        .map(|v| v.at(e).map_err(Error::from))
                         .collect::<Result<Vec<_>>>()?,
                 });
             }
@@ -831,7 +830,7 @@ impl<'a> Session<'a> {
                 );
                 if let Some(&x) = free.iter().next() {
                     // Unary marker: evaluate each argument per element.
-                    let values: Vec<Value> = args
+                    let values: Vec<ClValue> = args
                         .iter()
                         .map(|t| self.eval_fo_term(t, Some(x)))
                         .collect::<Result<Vec<_>>>()?;
@@ -874,8 +873,8 @@ impl<'a> Session<'a> {
                         .iter()
                         .map(|t| {
                             Ok(match self.eval_fo_term(t, None)? {
-                                Value::Scalar(v) => v,
-                                Value::Vector(_) => unreachable!("ground argument"),
+                                ClValue::Scalar(v) => v,
+                                ClValue::Vector(_) => unreachable!("ground argument"),
                             })
                         })
                         .collect::<Result<Vec<_>>>()?;
@@ -950,18 +949,18 @@ impl<'a> Session<'a> {
 
     /// Evaluates an FO term; `free = Some(x)` yields a per-element
     /// vector, `None` a scalar.
-    fn eval_fo_term(&mut self, t: &Arc<Term>, free: Option<Var>) -> Result<Value> {
+    fn eval_fo_term(&mut self, t: &Arc<Term>, free: Option<Var>) -> Result<ClValue> {
         match &**t {
-            Term::Int(i) => Ok(Value::Scalar(*i)),
+            Term::Int(i) => Ok(ClValue::Scalar(*i)),
             Term::Add(ts) => {
-                let mut acc = Value::Scalar(0);
+                let mut acc = ClValue::Scalar(0);
                 for s in ts {
                     acc = acc.add(self.eval_fo_term(s, free)?)?;
                 }
                 Ok(acc)
             }
             Term::Mul(ts) => {
-                let mut acc = Value::Scalar(1);
+                let mut acc = ClValue::Scalar(1);
                 for s in ts {
                     acc = acc.mul(self.eval_fo_term(s, free)?)?;
                 }
@@ -987,7 +986,7 @@ impl<'a> Session<'a> {
         body: &Arc<Formula>,
         x: Option<Var>,
         requested_free: Option<Var>,
-    ) -> Result<Value> {
+    ) -> Result<ClValue> {
         let resolved = self.resolve_sentences(body)?;
         if counted.is_empty() && x.is_none() {
             // A constant 0/1 count: there is nothing to decompose, the
@@ -1017,12 +1016,12 @@ impl<'a> Session<'a> {
             Ok(cl) => {
                 self.metrics.clterms.inc();
                 self.metrics.basics.add(cl.num_basics() as u64);
-                let v: Value = self.eval_clterm(&cl)?.into();
+                let v = self.eval_clterm(&cl)?;
                 // A ground count requested as a vector broadcasts.
                 if requested_free.is_some() && x.is_none() {
-                    return Ok(Value::Scalar(match v {
-                        Value::Scalar(s) => s,
-                        Value::Vector(_) => unreachable!("ground count"),
+                    return Ok(ClValue::Scalar(match v {
+                        ClValue::Scalar(s) => s,
+                        ClValue::Vector(_) => unreachable!("ground count"),
                     }));
                 }
                 Ok(v)
@@ -1039,7 +1038,7 @@ impl<'a> Session<'a> {
         counted: &[Var],
         body: &Arc<Formula>,
         x: Option<Var>,
-    ) -> Result<Value> {
+    ) -> Result<ClValue> {
         let term: Arc<Term> = Arc::new(Term::Count(
             counted.to_vec().into_boxed_slice(),
             body.clone(),
@@ -1049,7 +1048,7 @@ impl<'a> Session<'a> {
         match x {
             None => {
                 let mut env = Assignment::new();
-                Ok(Value::Scalar(ev.eval_term(&term, &mut env)?))
+                Ok(ClValue::Scalar(ev.eval_term(&term, &mut env)?))
             }
             Some(x) => {
                 let mut out = Vec::with_capacity(self.a.order() as usize);
@@ -1057,7 +1056,7 @@ impl<'a> Session<'a> {
                     let mut env = Assignment::from_pairs([(x, e)]);
                     out.push(ev.eval_term(&term, &mut env)?);
                 }
-                Ok(Value::Vector(out))
+                Ok(ClValue::Vector(out))
             }
         }
     }
@@ -1090,11 +1089,7 @@ impl<'a> Session<'a> {
     }
 
     /// Evaluates an FO term as a per-element vector (crate-internal).
-    pub(crate) fn eval_term_vector(
-        &mut self,
-        t: &Arc<Term>,
-        x: Var,
-    ) -> Result<crate::value::Value> {
+    pub(crate) fn eval_term_vector(&mut self, t: &Arc<Term>, x: Var) -> Result<ClValue> {
         self.eval_fo_term(t, Some(x))
     }
 

@@ -17,18 +17,18 @@
 //! row per index entry — `O(ℓ)` work per row, independent of `|A|`.
 
 use foc_eval::{Assignment, NaiveEvaluator, QueryRow};
+use foc_locality::ClValue;
 use foc_logic::Query;
 use foc_structures::Structure;
 
 use crate::engine::Evaluator;
 use crate::error::{Error, Result};
-use crate::value::Value;
 
 /// The preprocessed state: an index of satisfying elements plus the head
 /// term vectors. Iterating emits rows with constant delay.
 pub struct QueryEnumerator {
     satisfying: Vec<u32>,
-    term_values: Vec<Value>,
+    term_values: Vec<ClValue>,
     next: usize,
     /// Wall-clock duration of the preprocessing phase.
     pub preprocessing: std::time::Duration,

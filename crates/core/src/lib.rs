@@ -28,22 +28,18 @@
 //! ```
 
 #![warn(missing_docs)]
-#![allow(clippy::should_implement_trait)]
 
 pub mod aggregate;
 pub mod anytime;
 pub mod approx;
-pub mod dynamic;
 pub mod engine;
 pub mod enumerate;
 pub mod error;
 pub mod sql;
-pub mod value;
 
 pub use aggregate::{AvgResult, SumAggregate, Weights};
 pub use anytime::{AnswerValue, Anytime, CostModel, PassKind, PassReport, PassStatus};
 pub use approx::{sample_size, ApproxConfig, ApproxValue};
-pub use dynamic::{EdgeUpdate, MaintainedTerm};
 pub use engine::{
     DegradePolicy, EngineConfig, EngineKind, EngineStats, Evaluator, EvaluatorBuilder, MarkerDef,
     Session,
@@ -53,4 +49,3 @@ pub use error::{Error, Result};
 pub use foc_covers::CoverConfig;
 pub use foc_guard::Confidence;
 pub use foc_guard::{Budget, CancelToken, Interrupt, Phase, TraceContext, TripReason};
-pub use value::Value;

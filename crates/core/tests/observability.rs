@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use foc_core::{EngineKind, Evaluator};
+use foc_locality::TermCache;
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_obs::{build_tree, names, self_times, FinishedSpan, MemorySink, Sink};
 use foc_structures::gen::{bounded_degree, grid, random_tree};
@@ -106,10 +107,10 @@ fn disabled_observer_still_feeds_stats() {
     assert!(stats.covers_built > 0);
 }
 
-/// The benchmark's five queries: `(text, is a sentence)`. Three of them
-/// count inside a predicate or a comparison, so their markers run
-/// nested `decompose` and `eval` work.
-const QUERIES: [(&str, bool); 5] = [
+/// The benchmark's five eval queries and three shapes of its serve pool:
+/// `(text, is a sentence)`. Most of them count inside a predicate or a
+/// comparison, so their markers run nested `decompose` and `eval` work.
+const QUERIES: [(&str, bool); 8] = [
     (
         "@even(#(x,y). !(dist(x,y) <= 2)) & exists x. #(y). (E(x,y) & #(z). E(y,z) = 1) >= 2",
         true,
@@ -118,6 +119,9 @@ const QUERIES: [(&str, bool); 5] = [
     ("#(x,y). (!(E(x,y)) & !(x = y))", false),
     ("#(x,y). !(dist(x,y) <= 2)", false),
     ("#(x,y). (E(x,y) & #(z). E(y,z) = 1)", false),
+    ("exists x. #(y). dist(x,y) <= 2 >= 13", true),
+    ("#(x). (#(y). E(x,y) = 3)", false),
+    ("#(x,y). dist(x,y) <= 2", false),
 ];
 
 fn inputs() -> Vec<(&'static str, Structure)> {
@@ -130,19 +134,24 @@ fn inputs() -> Vec<(&'static str, Structure)> {
 }
 
 /// Runs one query in a traced session and returns its finished spans.
+/// With `cache`, the session reads and fills that shared term cache, as
+/// every `foc serve` request does.
 fn traced(
     kind: EngineKind,
     threads: usize,
     a: &Structure,
     (text, sentence): (&str, bool),
+    cache: Option<&Arc<TermCache>>,
 ) -> Vec<FinishedSpan> {
     let sink = MemorySink::shared();
-    let ev = Evaluator::builder()
+    let mut builder = Evaluator::builder()
         .kind(kind)
         .threads(threads)
-        .sink(sink.clone() as Arc<dyn Sink>)
-        .build()
-        .unwrap();
+        .sink(sink.clone() as Arc<dyn Sink>);
+    if let Some(cache) = cache {
+        builder = builder.shared_cache(cache.clone());
+    }
+    let ev = builder.build().unwrap();
     let mut session = ev.session(a);
     if sentence {
         session
@@ -207,7 +216,7 @@ fn span_self_times_partition_the_session() {
     for (class, a) in inputs() {
         for q in QUERIES {
             for kind in [EngineKind::Local, EngineKind::Cover] {
-                let spans = traced(kind, 1, &a, q);
+                let spans = traced(kind, 1, &a, q, None);
                 let ctx = format!("{kind:?} on {class}: {}", q.0);
                 assert_nested(&spans, true, &ctx);
                 for phase in ["decompose", "eval"] {
@@ -218,10 +227,21 @@ fn span_self_times_partition_the_session() {
                     *timed.entry(phase).or_default() += self_times(&spans)[phase];
                 }
                 assert_nested(
-                    &traced(kind, 2, &a, q),
+                    &traced(kind, 2, &a, q, None),
                     false,
                     &format!("{ctx} (2 threads)"),
                 );
+                // Serve-shaped: a cold run fills a shared cache, and the
+                // invariant must also hold for the warm run that hits it.
+                let cache = Arc::new(TermCache::default());
+                for run in ["cold", "warm"] {
+                    assert_nested(
+                        &traced(kind, 1, &a, q, Some(&cache)),
+                        true,
+                        &format!("{ctx} ({run} shared cache)"),
+                    );
+                }
+                assert!(cache.hits() > 0, "{ctx}: the warm run must hit the cache");
             }
         }
     }

@@ -317,7 +317,7 @@ impl<'a> CoverEvaluator<'a> {
                 let mut acc = ClValue::Scalar(0);
                 for s in ts {
                     let v = self.eval_rec(s, unary_cache, ground_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_add(b))?;
+                    acc = acc.add(v)?;
                 }
                 Ok(acc)
             }
@@ -325,7 +325,7 @@ impl<'a> CoverEvaluator<'a> {
                 let mut acc = ClValue::Scalar(1);
                 for s in ts {
                     let v = self.eval_rec(s, unary_cache, ground_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_mul(b))?;
+                    acc = acc.mul(v)?;
                 }
                 Ok(acc)
             }
@@ -854,31 +854,6 @@ pub fn max_dist_bound(f: &Formula) -> u32 {
             gs.iter().map(|g| max_dist_bound(g)).max().unwrap_or(0)
         }
         _ => 0,
-    }
-}
-
-fn combine(a: ClValue, b: ClValue, op: impl Fn(i64, i64) -> Option<i64>) -> Result<ClValue> {
-    let overflow = || foc_locality::LocalityError::Eval(foc_eval::EvalError::Overflow);
-    match (a, b) {
-        (ClValue::Scalar(x), ClValue::Scalar(y)) => {
-            Ok(ClValue::Scalar(op(x, y).ok_or_else(overflow)?))
-        }
-        (ClValue::Scalar(x), ClValue::Vector(ys)) => Ok(ClValue::Vector(
-            ys.into_iter()
-                .map(|y| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Scalar(y)) => Ok(ClValue::Vector(
-            xs.into_iter()
-                .map(|x| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Vector(ys)) => Ok(ClValue::Vector(
-            xs.into_iter()
-                .zip(ys)
-                .map(|(x, y)| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
     }
 }
 

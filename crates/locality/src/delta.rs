@@ -18,7 +18,7 @@
 //! no reader can reference it.
 
 use foc_logic::Predicates;
-use foc_structures::{BfsScratch, FxHashSet, Structure};
+use foc_structures::{BfsScratch, FxHashMap, Structure};
 
 use crate::cache::TermCache;
 use crate::error::Result;
@@ -60,6 +60,9 @@ pub fn migrate_cache(
         return stats;
     }
     let mut scratch = BfsScratch::new();
+    // Terms sharing an exploration radius share a dirty set: two BFS
+    // (old and new graph) per distinct radius, not per term.
+    let mut dirty_by_radius: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     let mut lev = LocalEvaluator::new(new, preds);
     for (term, vals) in entries {
         if vals.len() != new.order() as usize {
@@ -67,12 +70,10 @@ pub fn migrate_cache(
             continue;
         }
         let radius = u32::try_from(LocalEvaluator::exploration_radius(&term)).unwrap_or(u32::MAX);
-        let mut affected: FxHashSet<u32> = FxHashSet::default();
-        affected.extend(old.gaifman().ball(touched, radius, &mut scratch));
-        affected.extend(new.gaifman().ball(touched, radius, &mut scratch));
-        let mut dirty: Vec<u32> = affected.into_iter().collect();
-        dirty.sort_unstable();
-        match patch_vector(&mut lev, &term, &vals, &dirty) {
+        let dirty = dirty_by_radius
+            .entry(radius)
+            .or_insert_with(|| dirty_set(old, new, touched, radius, &mut scratch));
+        match patch_vector(&mut lev, &term, &vals, dirty) {
             Ok(patched) => {
                 cache.insert(&term, new, None, patched);
                 stats.migrated += 1;
@@ -82,6 +83,22 @@ pub fn migrate_cache(
         }
     }
     stats
+}
+
+/// The elements within `radius` of `touched` in the old or the new
+/// Gaifman graph, sorted and duplicate-free.
+fn dirty_set(
+    old: &Structure,
+    new: &Structure,
+    touched: &[u32],
+    radius: u32,
+    scratch: &mut BfsScratch,
+) -> Vec<u32> {
+    let mut dirty = old.gaifman().ball(touched, radius, scratch);
+    dirty.extend(new.gaifman().ball(touched, radius, scratch));
+    dirty.sort_unstable();
+    dirty.dedup();
+    dirty
 }
 
 fn patch_vector(
@@ -100,8 +117,12 @@ fn patch_vector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foc_logic::build::{and, atom, eq, not, v};
-    use foc_logic::Predicates;
+    use std::sync::Arc;
+
+    use foc_logic::build::{and, atom, dist_le, eq, not, v};
+    use foc_logic::{Formula, Predicates};
+    use foc_structures::gen::grid;
+    use foc_structures::FxHashSet;
     use foc_structures::{DeltaStructure, StructureBuilder, TupleOp};
 
     use crate::clterm::{BasicClTerm, ClTerm};
@@ -118,14 +139,20 @@ mod tests {
         DeltaStructure::new(b.finish())
     }
 
-    /// Basic cl-terms of `#(x,y). ¬E(x,y) ∧ x≠y` (a genuine polynomial).
-    fn test_basics() -> Vec<BasicClTerm> {
+    /// Basic cl-terms of `#(x,y). body`.
+    fn basics_of(
+        body: impl Fn(foc_logic::Var, foc_logic::Var) -> Arc<Formula>,
+    ) -> Vec<BasicClTerm> {
         let (x, y) = (v("x"), v("y"));
-        let body = and(not(atom("E", [x, y])), not(eq(x, y)));
-        let t = decompose_ground(&body, &[x, y]).unwrap();
+        let t = decompose_ground(&body(x, y), &[x, y]).unwrap();
         let mut out = Vec::new();
         collect_basics(&t, &mut out);
         out
+    }
+
+    /// Basic cl-terms of `#(x,y). ¬E(x,y) ∧ x≠y` (a genuine polynomial).
+    fn test_basics() -> Vec<BasicClTerm> {
+        basics_of(|x, y| and(not(atom("E", [x, y])), not(eq(x, y))))
     }
 
     fn collect_basics(t: &ClTerm, out: &mut Vec<BasicClTerm>) {
@@ -136,6 +163,27 @@ mod tests {
         }
     }
 
+    /// Fills `cache` with every term's full vector at `s`.
+    fn warm(cache: &TermCache, s: &Structure, basics: &[BasicClTerm]) {
+        let preds = Predicates::standard();
+        let mut lev = LocalEvaluator::new(s, &preds);
+        for b in basics {
+            let vals = lev.eval_basic_all(b).unwrap();
+            cache.insert(b, s, None, vals);
+        }
+    }
+
+    /// Every term's cached vector at `s` equals a fresh evaluation.
+    fn assert_fresh(cache: &TermCache, s: &Structure, basics: &[BasicClTerm]) {
+        let preds = Predicates::standard();
+        let mut lev = LocalEvaluator::new(s, &preds);
+        for b in basics {
+            let migrated = cache.get(b, s, None).expect("entry migrated");
+            let fresh = lev.eval_basic_all(b).unwrap();
+            assert_eq!(*migrated, fresh, "term {b:?}");
+        }
+    }
+
     #[test]
     fn migration_matches_fresh_evaluation() {
         let preds = Predicates::standard();
@@ -143,16 +191,22 @@ mod tests {
         let old = d.snapshot();
         old.gaifman();
         let cache = TermCache::default();
-        let basics = test_basics();
-        assert!(!basics.is_empty());
-        // Warm the cache at the old epoch.
-        {
-            let mut lev = LocalEvaluator::new(&old, &preds);
-            for b in &basics {
-                let vals = lev.eval_basic_all(b).unwrap();
-                cache.insert(b, &old, None, vals);
-            }
-        }
+        // Two inputs: a polynomial of atoms and the basic terms of
+        // `dist(x,y) <= 2`. Together they span several exploration
+        // radii, some shared by more than one term, which exercises the
+        // per-radius dirty sets.
+        let mut basics = test_basics();
+        basics.extend(basics_of(|x, y| dist_le(x, y, 2)));
+        let radii: FxHashSet<u64> = basics
+            .iter()
+            .map(LocalEvaluator::exploration_radius)
+            .collect();
+        assert!(
+            1 < radii.len() && radii.len() < basics.len(),
+            "radii {radii:?} of {} terms",
+            basics.len()
+        );
+        warm(&cache, &old, &basics);
         let info = d
             .apply(&[TupleOp::insert("E", &[3, 7]), TupleOp::insert("E", &[7, 3])])
             .unwrap();
@@ -163,12 +217,7 @@ mod tests {
         // Migrated vectors must equal a from-scratch evaluation, and only
         // dirty-ball entries may have been recomputed.
         assert!(stats.recomputed < basics.len() * new.order() as usize);
-        let mut lev = LocalEvaluator::new(&new, &preds);
-        for b in &basics {
-            let migrated = cache.get(b, &new, None).expect("entry migrated");
-            let fresh = lev.eval_basic_all(b).unwrap();
-            assert_eq!(*migrated, fresh, "term {b:?}");
-        }
+        assert_fresh(&cache, &new, &basics);
         // Old-epoch entries stay readable until explicitly retired.
         for b in &basics {
             assert!(cache.get(b, &old, None).is_some());
@@ -180,24 +229,62 @@ mod tests {
     }
 
     #[test]
+    fn affected_set_is_local() {
+        // On a 20x20 grid, one inserted edge between opposite corners
+        // must recompute far fewer entries per term than the universe.
+        let preds = Predicates::standard();
+        let mut d = DeltaStructure::new(grid(20, 20));
+        let old = d.snapshot();
+        let cache = TermCache::default();
+        let basics = basics_of(|x, y| atom("E", [x, y]));
+        warm(&cache, &old, &basics);
+        let info = d
+            .apply(&[
+                TupleOp::insert("E", &[0, 399]),
+                TupleOp::insert("E", &[399, 0]),
+            ])
+            .unwrap();
+        let new = d.snapshot();
+        let stats = migrate_cache(&cache, &old, &new, &info.touched, &preds);
+        assert_eq!(stats.migrated, basics.len());
+        assert!(
+            stats.recomputed < 100 * stats.migrated,
+            "recomputed {} entries over {} terms of 400 elements — change is not local",
+            stats.recomputed,
+            stats.migrated
+        );
+        assert_fresh(&cache, &new, &basics);
+    }
+
+    #[test]
+    fn ineffective_commit_leaves_the_cache_untouched() {
+        let preds = Predicates::standard();
+        let mut d = path(6);
+        let old = d.snapshot();
+        let cache = TermCache::default();
+        let basics = test_basics();
+        warm(&cache, &old, &basics);
+        let info = d.apply(&[TupleOp::delete("E", &[0, 5])]).unwrap();
+        assert_eq!(info.changed, 0, "the edge was absent");
+        let new = d.snapshot();
+        let stats = migrate_cache(&cache, &old, &new, &info.touched, &preds);
+        assert_eq!(stats, MigrationStats::default());
+        assert_eq!(cache.len(), basics.len());
+        assert_fresh(&cache, &new, &basics);
+    }
+
+    #[test]
     fn reverted_content_cannot_resurrect_stale_entries() {
         // Regression for the epoch-folded fingerprint: a commit sequence
         // that restores the original tuples still yields a *different*
         // fingerprint, so a cache warmed at epoch 0 can never answer for
         // the epoch-2 snapshot by content coincidence — every read of
         // the new snapshot goes through migration or a recompute.
-        let preds = Predicates::standard();
         let mut d = path(8);
         let old = d.snapshot();
         let cache = TermCache::default();
         let basics = test_basics();
-        {
-            let mut lev = LocalEvaluator::new(&old, &preds);
-            for b in &basics {
-                let vals = lev.eval_basic_all(b).unwrap();
-                cache.insert(b, &old, None, vals);
-            }
-        }
+        warm(&cache, &old, &basics);
         d.apply(&[TupleOp::insert("E", &[0, 5]), TupleOp::insert("E", &[5, 0])])
             .unwrap();
         d.apply(&[TupleOp::delete("E", &[0, 5]), TupleOp::delete("E", &[5, 0])])

@@ -60,12 +60,59 @@ pub enum ClValue {
     Vector(Vec<i64>),
 }
 
+// `add`/`mul` are checked and fallible, so they are not `std::ops`.
+#[allow(clippy::should_implement_trait)]
 impl ClValue {
-    /// The value at element `a`.
-    pub fn at(&self, a: u32) -> i64 {
+    /// The value at element `a` (broadcasting scalars). An element id
+    /// beyond the vector's universe is a typed error, not a panic —
+    /// callers may pass through ids supplied from outside the engine.
+    pub fn at(&self, a: u32) -> Result<i64> {
         match self {
-            ClValue::Scalar(s) => *s,
-            ClValue::Vector(v) => v[a as usize],
+            ClValue::Scalar(s) => Ok(*s),
+            ClValue::Vector(v) => v.get(a as usize).copied().ok_or(LocalityError::Eval(
+                foc_eval::EvalError::ElementOutOfRange {
+                    element: a,
+                    order: v.len() as u32,
+                },
+            )),
+        }
+    }
+
+    /// Checked pointwise addition (broadcasting scalars).
+    pub fn add(self, other: ClValue) -> Result<ClValue> {
+        self.combine(other, i64::checked_add)
+    }
+
+    /// Checked pointwise multiplication (broadcasting scalars).
+    pub fn mul(self, other: ClValue) -> Result<ClValue> {
+        self.combine(other, i64::checked_mul)
+    }
+
+    fn combine(self, other: ClValue, op: impl Fn(i64, i64) -> Option<i64>) -> Result<ClValue> {
+        let overflow = || LocalityError::Eval(foc_eval::EvalError::Overflow);
+        match (self, other) {
+            (ClValue::Scalar(x), ClValue::Scalar(y)) => {
+                Ok(ClValue::Scalar(op(x, y).ok_or_else(overflow)?))
+            }
+            (ClValue::Scalar(x), ClValue::Vector(ys)) => Ok(ClValue::Vector(
+                ys.into_iter()
+                    .map(|y| op(x, y).ok_or_else(overflow))
+                    .collect::<Result<_>>()?,
+            )),
+            (ClValue::Vector(xs), ClValue::Scalar(y)) => Ok(ClValue::Vector(
+                xs.into_iter()
+                    .map(|x| op(x, y).ok_or_else(overflow))
+                    .collect::<Result<_>>()?,
+            )),
+            (ClValue::Vector(xs), ClValue::Vector(ys)) => {
+                assert_eq!(xs.len(), ys.len(), "mismatched unary value lengths");
+                Ok(ClValue::Vector(
+                    xs.into_iter()
+                        .zip(ys)
+                        .map(|(x, y)| op(x, y).ok_or_else(overflow))
+                        .collect::<Result<_>>()?,
+                ))
+            }
         }
     }
 }
@@ -546,7 +593,7 @@ impl<'a> LocalEvaluator<'a> {
                 let mut acc = ClValue::Scalar(0);
                 for s in ts {
                     let v = self.eval_clterm_rec(s, ground_cache, unary_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_add(b))?;
+                    acc = acc.add(v)?;
                 }
                 Ok(acc)
             }
@@ -554,7 +601,7 @@ impl<'a> LocalEvaluator<'a> {
                 let mut acc = ClValue::Scalar(1);
                 for s in ts {
                     let v = self.eval_clterm_rec(s, ground_cache, unary_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_mul(b))?;
+                    acc = acc.mul(v)?;
                 }
                 Ok(acc)
             }
@@ -665,34 +712,6 @@ fn sorted_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
         }
     }
     out
-}
-
-fn combine(a: ClValue, b: ClValue, op: impl Fn(i64, i64) -> Option<i64>) -> Result<ClValue> {
-    let overflow = || LocalityError::Eval(foc_eval::EvalError::Overflow);
-    match (a, b) {
-        (ClValue::Scalar(x), ClValue::Scalar(y)) => {
-            Ok(ClValue::Scalar(op(x, y).ok_or_else(overflow)?))
-        }
-        (ClValue::Scalar(x), ClValue::Vector(ys)) => Ok(ClValue::Vector(
-            ys.into_iter()
-                .map(|y| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Scalar(y)) => Ok(ClValue::Vector(
-            xs.into_iter()
-                .map(|x| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Vector(ys)) => {
-            assert_eq!(xs.len(), ys.len(), "mismatched unary value lengths");
-            Ok(ClValue::Vector(
-                xs.into_iter()
-                    .zip(ys)
-                    .map(|(x, y)| op(x, y).ok_or_else(overflow))
-                    .collect::<Result<_>>()?,
-            ))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -835,7 +854,7 @@ mod tests {
             for a in s.universe() {
                 let mut env = Assignment::from_pairs([(x, a)]);
                 let want = nev.eval_term(&term, &mut env).unwrap();
-                assert_eq!(got.at(a), want, "triangles at {a}");
+                assert_eq!(got.at(a).unwrap(), want, "triangles at {a}");
             }
         }
     }
@@ -852,5 +871,37 @@ mod tests {
         lev.eval_clterm(&cl).unwrap();
         assert!(lev.stats.balls >= 10);
         assert!(lev.stats.ball_elements > 0);
+    }
+
+    #[test]
+    fn broadcast_arithmetic() {
+        let v = ClValue::Vector(vec![1, 2, 3]);
+        let s = ClValue::Scalar(10);
+        let sum = v.clone().add(s).unwrap();
+        assert_eq!(sum, ClValue::Vector(vec![11, 12, 13]));
+        let prod = v.clone().mul(ClValue::Vector(vec![2, 2, 2])).unwrap();
+        assert_eq!(prod, ClValue::Vector(vec![2, 4, 6]));
+        assert_eq!(v.at(2).unwrap(), 3);
+        assert_eq!(ClValue::Scalar(7).at(99).unwrap(), 7);
+    }
+
+    #[test]
+    fn out_of_range_element_is_a_typed_error() {
+        let v = ClValue::Vector(vec![1, 2, 3]);
+        assert!(matches!(
+            v.at(3),
+            Err(LocalityError::Eval(
+                foc_eval::EvalError::ElementOutOfRange {
+                    element: 3,
+                    order: 3
+                }
+            ))
+        ));
+    }
+
+    #[test]
+    fn overflow_is_caught() {
+        let v = ClValue::Scalar(i64::MAX);
+        assert!(v.add(ClValue::Scalar(1)).is_err());
     }
 }

@@ -29,11 +29,6 @@ pub fn locality_radius(f: &Formula) -> Result<u64> {
     radius(f)
 }
 
-/// `true` iff [`locality_radius`] succeeds.
-pub fn is_recognisably_local(f: &Formula) -> bool {
-    locality_radius(f).is_ok()
-}
-
 fn radius(f: &Formula) -> Result<u64> {
     match f {
         Formula::Bool(_) | Formula::Eq(..) | Formula::Atom(_) => Ok(0),

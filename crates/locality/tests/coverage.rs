@@ -113,7 +113,7 @@ fn decomposition_over_multiple_relations() {
         for a in s.universe() {
             let mut env = Assignment::from_pairs([(x, a)]);
             assert_eq!(
-                got.at(a),
+                got.at(a).unwrap(),
                 nev.eval_term(&tu, &mut env).unwrap(),
                 "unary {body} at {a}"
             );

@@ -732,7 +732,7 @@ pub struct ServerHandle {
     telemetry_addr: Option<SocketAddr>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     telemetry_thread: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conns: Arc<Mutex<ConnThreads>>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -829,7 +829,7 @@ pub fn start(structure: Structure, config: ServerConfig) -> std::io::Result<Serv
         wal,
         wal_readonly: AtomicBool::new(false),
     });
-    let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let conns = Arc::new(Mutex::new(ConnThreads::default()));
 
     let (telemetry_addr, telemetry_thread) = match shared.config.telemetry_addr.clone() {
         Some(taddr) => {
@@ -855,17 +855,43 @@ pub fn start(structure: Structure, config: ServerConfig) -> std::io::Result<Serv
     })
 }
 
+/// The connection threads: handles of those not yet seen finished, plus
+/// a count of the finished ones already reaped, so the handle list stays
+/// bounded by the live connections while drain still counts every
+/// connection thread.
+#[derive(Default)]
+struct ConnThreads {
+    live: Vec<std::thread::JoinHandle<()>>,
+    reaped: usize,
+}
+
+impl ConnThreads {
+    /// Drops the handles of finished threads, then keeps `handle`.
+    fn push(&mut self, handle: std::thread::JoinHandle<()>) {
+        let before = self.live.len();
+        self.live.retain(|h| !h.is_finished());
+        self.reaped += before - self.live.len();
+        self.live.push(handle);
+    }
+
+    /// Joins every remaining thread; returns the number of connection
+    /// threads ever pushed.
+    fn join_all(&mut self) -> usize {
+        for h in self.live.drain(..) {
+            let _ = h.join();
+            self.reaped += 1;
+        }
+        self.reaped
+    }
+}
+
 /// The non-blocking accept loop. Admission decisions happen on the
 /// connection threads, so nothing a client does can stall this loop; it
 /// polls the shutdown flags between accepts. While the server drains,
 /// new connections are still accepted but immediately refused with a
 /// shed frame (so clients get a structured signal, not a hang); the
 /// loop exits only once drain flips `accept_stop`.
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<ConnThreads>) {
     loop {
         if shared.accept_stop.load(Ordering::Acquire) {
             return;
@@ -1649,14 +1675,11 @@ impl ServerHandle {
         if let Some(t) = self.telemetry_thread.take() {
             let _ = t.join();
         }
-        let handles: Vec<_> = {
-            let mut guard = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-            guard.drain(..).collect()
-        };
-        let connections_joined = handles.len();
-        for h in handles {
-            let _ = h.join();
-        }
+        let connections_joined = self
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .join_all();
         self.shared.wal_flush();
         let drain = t0.elapsed();
         m.counter(names::SERVE_DRAIN_NANOS)
@@ -1686,13 +1709,39 @@ impl Drop for ServerHandle {
         if let Some(t) = self.telemetry_thread.take() {
             let _ = t.join();
         }
-        let handles: Vec<_> = {
-            let mut guard = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-            guard.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        self.conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .join_all();
         self.shared.wal_flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+
+    #[test]
+    fn accept_loop_reaps_finished_connection_threads() {
+        let handle = start(foc_structures::gen::path(6), ServerConfig::default()).expect("start");
+        for i in 0..64 {
+            let stream = TcpStream::connect(handle.addr()).expect("connect");
+            let mut writer = stream.try_clone().expect("clone");
+            writeln!(
+                writer,
+                r##"{{"id":"q{i}","mode":"eval","query":"#(x,y). E(x,y)"}}"##
+            )
+            .expect("send");
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).expect("recv");
+            assert!(line.contains("\"value\":10"), "cycle {i}: {line}");
+        }
+        let live = handle.conns.lock().unwrap().live.len();
+        assert!(
+            live < 8,
+            "{live} connection handles kept after 64 closed connections"
+        );
+        assert_eq!(handle.drain().connections_joined, 64);
     }
 }

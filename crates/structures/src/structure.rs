@@ -649,20 +649,6 @@ impl StructureBuilder {
         Ok(())
     }
 
-    /// Inserts a tuple into a declared relation (by name).
-    #[deprecated(note = "use try_insert: it reports malformed tuples instead of panicking")]
-    pub fn insert(&mut self, name: &str, tuple: &[u32]) {
-        self.try_insert(name, tuple)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Inserts a tuple into a declared relation (by dense index).
-    #[deprecated(note = "use try_insert_at: it reports malformed tuples instead of panicking")]
-    pub fn insert_at(&mut self, idx: usize, tuple: &[u32]) {
-        self.try_insert_at(idx, tuple)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// Finalises the structure (sorts, dedups, validates).
     pub fn finish(self) -> Structure {
         let sig = Signature::new(self.decls);

@@ -1,19 +1,22 @@
 //! The three Section 9 "open questions", prototyped:
 //!
 //! 1. SUM/AVG aggregates (`foc_core::aggregate`),
-//! 2. database updates (`foc_core::dynamic`),
+//! 2. database updates (`foc_locality::migrate_cache`, as `foc serve` runs it),
 //! 3. constant-delay enumeration (`foc_core::enumerate`).
 //!
 //! ```text
 //! cargo run --release --example extensions
 //! ```
 
-use foc_core::{EdgeUpdate, EngineKind, Evaluator, MaintainedTerm, SumAggregate, Weights};
+use foc_core::{EngineKind, Evaluator, SumAggregate, Weights};
+use foc_locality::{migrate_cache, TermCache};
 use foc_logic::build::*;
 use foc_logic::Query;
 use foc_structures::gen::random_tree;
+use foc_structures::{DeltaStructure, TupleOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -41,16 +44,26 @@ fn main() {
     );
 
     // ── (2) database updates ──────────────────────────────────────────
-    // Maintain the number of close pairs (dist ≤ 2) under edge updates.
-    let body = and(dist_le(x, y, 2), not(eq(x, y)));
+    // Keep the number of close pairs (dist ≤ 2) fresh under edge updates
+    // the way `foc serve` does: commit, migrate the cached term vectors
+    // to the new epoch (recomputing only the dirty balls), retire the
+    // old epoch, then evaluate against the migrated cache.
+    let close = cnt_vec(vec![x, y], and(dist_le(x, y, 2), not(eq(x, y))));
+    let cache = Arc::new(TermCache::default());
+    let live = Evaluator::builder()
+        .kind(EngineKind::Local)
+        .shared_cache(cache.clone())
+        .build()
+        .unwrap();
+    let mut delta = DeltaStructure::new(s.clone());
+    delta.current().gaifman();
     let t0 = Instant::now();
-    let mut maintained = MaintainedTerm::new(s.clone(), "E", &[x, y], &body).unwrap();
+    let initial = live.eval_ground(delta.current(), &close).unwrap();
     println!(
-        "\n(2) maintained #(x,y). dist(x,y) ≤ 2 ∧ x≠y = {}  [initialised in {:?}]",
-        maintained.value(),
+        "\n(2) #(x,y). dist(x,y) ≤ 2 ∧ x≠y = {initial}  [cache filled in {:?}]",
         t0.elapsed()
     );
-    let mut total_affected = 0usize;
+    let mut total_recomputed = 0usize;
     let t0 = Instant::now();
     let updates = 20;
     for _ in 0..updates {
@@ -59,24 +72,37 @@ fn main() {
         if u == w {
             continue;
         }
-        let up = if rng.gen_bool(0.6) {
-            EdgeUpdate::Insert(u, w)
+        let ops = if rng.gen_bool(0.6) {
+            [TupleOp::insert("E", &[u, w]), TupleOp::insert("E", &[w, u])]
         } else {
-            EdgeUpdate::Delete(u, w)
+            [TupleOp::delete("E", &[u, w]), TupleOp::delete("E", &[w, u])]
         };
-        maintained.apply(up).unwrap();
-        total_affected += maintained.last_affected();
+        let old = delta.snapshot();
+        let info = delta.apply(&ops).unwrap();
+        if info.changed > 0 {
+            let stats = migrate_cache(
+                &cache,
+                &old,
+                delta.current(),
+                &info.touched,
+                live.predicates(),
+            );
+            cache.evict_structure(old.fingerprint());
+            total_recomputed += stats.recomputed;
+        }
     }
+    let value = live.eval_ground(delta.current(), &close).unwrap();
     println!(
-        "    after {updates} random updates: value = {}, avg affected = {} of {} elements/update  [{:?}]",
-        maintained.value(),
-        total_affected / updates,
+        "    after {updates} random updates: value = {value}, avg {} vector entries recomputed/update (n = {})  [{:?}]",
+        total_recomputed / updates,
         s.order(),
         t0.elapsed()
     );
+    let cold = Evaluator::builder().build().unwrap();
     assert_eq!(
-        maintained.value(),
-        maintained.recompute_from_scratch().unwrap()
+        value,
+        cold.eval_ground(&delta.rebuild_from_scratch(), &close)
+            .unwrap()
     );
     println!("    matches from-scratch recomputation ✓");
 
