@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use foc_logic::build::atom_sym;
 use foc_logic::{Formula, Symbol, Var};
-use foc_structures::{BfsScratch, RelDecl, Signature, Structure};
+use foc_structures::{DistLayer, RelDecl, Signature, Structure};
 
 /// The symbol `R̃_I` for the relation `rel` and the position set encoded
 /// by `mask`: `R@<hex mask>`.
@@ -82,7 +82,8 @@ pub fn remove_element(a: &Structure, d: u32, r: u32) -> Structure {
         }
     }
     // Distance markers S_1..S_r.
-    let dists = a.gaifman().distances_from(d, r, &mut BfsScratch::new());
+    let mut dists = DistLayer::new();
+    dists.fill(a.gaifman(), d, r);
     for i in 1..=r {
         decls.push(RelDecl {
             name: s_marker(i),
@@ -90,9 +91,10 @@ pub fn remove_element(a: &Structure, d: u32, r: u32) -> Structure {
         });
         rows.push(
             dists
+                .ball()
                 .iter()
-                .filter(|&(&e, &dist)| e != d && dist <= i)
-                .map(|(&e, _)| vec![new_id(d, e)])
+                .filter(|&&e| e != d && dists.get(e).is_some_and(|dist| dist <= i))
+                .map(|&e| vec![new_id(d, e)])
                 .collect(),
         );
     }

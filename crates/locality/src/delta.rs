@@ -107,9 +107,10 @@ fn patch_vector(
     vals: &[i64],
     dirty: &[u32],
 ) -> Result<Vec<i64>> {
+    let fresh = lev.eval_basic_for(term, Some(dirty))?;
     let mut out = vals.to_vec();
     for &a in dirty {
-        out[a as usize] = lev.eval_basic_at(term, a)?;
+        out[a as usize] = fresh[a as usize];
     }
     Ok(out)
 }

@@ -17,7 +17,8 @@
 //! * [`clnf`] — the cl-normalform of Theorem 6.8 (local matrix + ground
 //!   cl-terms behind 0-ary markers);
 //! * [`local_eval`] — ball-based evaluation of basic cl-terms
-//!   (Remark 6.3), the workhorse of the `Local` engine;
+//!   (Remark 6.3) through one planned, allocation-free kernel: the
+//!   workhorse of the `Local` engine and of the `Cover` engine's leaves;
 //! * [`cache`] — a content-keyed, thread-safe memo of basic-cl-term
 //!   values shared across the recursion of the main algorithm.
 //!
@@ -41,6 +42,7 @@ pub mod delta;
 pub mod error;
 pub mod gk;
 pub mod gnf;
+mod kernel;
 pub mod local_eval;
 pub mod radius;
 pub mod separate;

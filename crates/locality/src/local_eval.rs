@@ -2,10 +2,10 @@
 //! connectivity graph of a basic cl-term is connected, the value
 //! `u^A[a]` only depends on the `R`-neighbourhood of `a`, with
 //! `R = r_body + (k−1)·(2r+1)` (Lemma 6.1). The evaluator therefore
-//! explores `N_R(a)`, builds its induced substructure once, and
-//! backtracks over tuple extensions along the edges of `G`, checking the
-//! δ-constraints with bounded BFS inside the ball and the local body with
-//! the reference evaluator on the ball.
+//! explores `N_R(a)` and backtracks over tuple extensions along the edges
+//! of `G`, through the crate's ball-enumeration kernel: one plan per
+//! term, distance layers for the δ-constraints, and the body compiled
+//! over tuple positions.
 //!
 //! On classes with polynomial ball growth (bounded degree, trees, grids,
 //! bounded expansion…) this yields the paper's fixed-parameter
@@ -14,16 +14,16 @@
 
 use std::sync::Arc;
 
-use foc_eval::{Assignment, NaiveEvaluator};
 use foc_guard::{Guard, Phase};
 use foc_logic::Predicates;
 use foc_obs::{names, pow2_buckets, Counter, Histogram, SpanHandle};
 use foc_parallel::ParMeter;
-use foc_structures::{BfsScratch, FxHashMap, Structure};
+use foc_structures::{FxHashMap, Structure};
 
 use crate::cache::TermCache;
 use crate::clterm::{BasicClTerm, ClTerm};
 use crate::error::{LocalityError, Result};
+use crate::kernel::{self, with_scratch, BallPlan, BallScratch};
 
 /// Resolved observability handles of a [`LocalEvaluator`]: registry
 /// counters and the span position ball-enumeration spans nest under.
@@ -48,6 +48,66 @@ pub struct LocalStats {
     pub ball_elements: u64,
     /// Tuples fully assembled and checked against the body.
     pub tuples_checked: u64,
+}
+
+impl LocalStats {
+    fn absorb(&mut self, other: LocalStats) {
+        self.balls += other.balls;
+        self.ball_elements += other.ball_elements;
+        self.tuples_checked += other.tuples_checked;
+    }
+}
+
+/// The work counters one kernel run bumps: its own [`LocalStats`], and
+/// the observer's registry counters live.
+pub(crate) struct Tally<'o> {
+    stats: LocalStats,
+    obs: Option<&'o LocalObs>,
+}
+
+impl<'o> Tally<'o> {
+    fn new(obs: Option<&'o LocalObs>) -> Tally<'o> {
+        Tally {
+            stats: LocalStats::default(),
+            obs,
+        }
+    }
+
+    /// Counts one materialised ball of `elements` elements.
+    pub(crate) fn note_ball(&mut self, elements: u64) {
+        self.stats.balls += 1;
+        self.stats.ball_elements += elements;
+        if let Some(o) = self.obs {
+            o.balls.inc();
+            o.ball_elements.add(elements);
+            o.ball_size.observe(elements);
+        }
+    }
+
+    /// Counts one fully assembled tuple checked against the body.
+    pub(crate) fn note_tuple(&mut self) {
+        self.stats.tuples_checked += 1;
+        if let Some(o) = self.obs {
+            o.tuples.inc();
+        }
+    }
+}
+
+/// `u^A[a]` through the kernel, behind the per-element guard check and
+/// the test-only fault injection.
+fn count_element(
+    plan: &BallPlan<'_, '_>,
+    scratch: &mut BallScratch,
+    guard: &Guard,
+    fault: Option<u32>,
+    tally: &mut Tally<'_>,
+    a: u32,
+) -> Result<i64> {
+    guard.check(Phase::BallEnum)?;
+    if fault == Some(a) {
+        panic!("injected fault at element {a}");
+    }
+    plan.count_at(a, scratch, guard, tally)
 }
 
 /// A value of a cl-term over a structure: one integer per element for
@@ -121,7 +181,6 @@ impl ClValue {
 pub struct LocalEvaluator<'a> {
     a: &'a Structure,
     preds: &'a Predicates,
-    scratch: BfsScratch,
     /// Derive tuple candidates from guard atoms (relational-index
     /// lookups) in addition to δ-balls. Ablation toggle for E11.
     pub use_atom_candidates: bool,
@@ -154,7 +213,6 @@ impl<'a> LocalEvaluator<'a> {
         LocalEvaluator {
             a,
             preds,
-            scratch: BfsScratch::new(),
             use_atom_candidates: true,
             use_support: true,
             threads: 1,
@@ -196,25 +254,6 @@ impl<'a> LocalEvaluator<'a> {
         });
     }
 
-    /// Counts one materialised ball of `elements` elements.
-    fn note_ball(&mut self, elements: u64) {
-        self.stats.balls += 1;
-        self.stats.ball_elements += elements;
-        if let Some(o) = &self.obs {
-            o.balls.inc();
-            o.ball_elements.add(elements);
-            o.ball_size.observe(elements);
-        }
-    }
-
-    /// Counts one fully assembled tuple checked against the body.
-    fn note_tuple(&mut self) {
-        self.stats.tuples_checked += 1;
-        if let Some(o) = &self.obs {
-            o.tuples.inc();
-        }
-    }
-
     /// The exploration radius for a basic cl-term (Lemma 6.1 /
     /// Remark 6.3).
     pub fn exploration_radius(b: &BasicClTerm) -> u64 {
@@ -225,212 +264,6 @@ impl<'a> LocalEvaluator<'a> {
         b.body_radius
             .max(b.radius)
             .saturating_add((k - 1).saturating_mul(b.delta_bound()))
-    }
-
-    /// `u^A[a]` for a unary (or ground-used-as-unary) basic cl-term: the
-    /// number of extensions `(a₂,…,a_k)` with `y₁ = a` satisfying
-    /// `ψ ∧ δ_G,2r+1`.
-    ///
-    /// The enumeration is ball-local by construction (candidates come
-    /// from bounded-BFS distance maps, so only `N_R(a)` is ever touched,
-    /// with `R` the exploration radius of Lemma 6.1); the body is checked
-    /// directly in `A` — its value at a tuple *is* the cl-term's
-    /// semantics, and the candidate-driven reference evaluator keeps that
-    /// check neighbourhood-local for the separable fragment.
-    pub fn eval_basic_at(&mut self, b: &BasicClTerm, a: u32) -> Result<i64> {
-        self.guard.check(Phase::BallEnum)?;
-        if self.fault_panic_element == Some(a) {
-            panic!("injected fault at element {a}");
-        }
-        let k = b.width();
-        if k == 1 {
-            // Width-1 term: the count is 1 iff ψ holds at a.
-            let mut ev = NaiveEvaluator::new(self.a, self.preds);
-            ev.set_guard(self.guard.clone());
-            let mut env = Assignment::from_pairs([(b.vars[0], a)]);
-            self.note_tuple();
-            return Ok(if ev.check(&b.body, &mut env)? { 1 } else { 0 });
-        }
-
-        // `BasicClTerm::new` validated the bound via `checked_delta_bound`.
-        let bound =
-            u32::try_from(b.delta_bound()).unwrap_or_else(|_| unreachable!("delta bound fits u32"));
-        let order = b.graph.bfs_order();
-        debug_assert_eq!(order[0], 0);
-
-        // Bounded-BFS distance maps from every assigned value (lazy).
-        let mut dist_maps: FxHashMap<u32, FxHashMap<u32, u32>> = FxHashMap::default();
-        let start_map = self.a.gaifman().distances_from(a, bound, &mut self.scratch);
-        self.note_ball(start_map.len() as u64);
-        dist_maps.insert(a, start_map);
-
-        let mut assigned: Vec<(usize, u32)> = vec![(0, a)]; // (graph node, value)
-        let mut count: i64 = 0;
-        let mut ev = NaiveEvaluator::new(self.a, self.preds);
-        ev.set_guard(self.guard.clone());
-        self.backtrack(
-            b,
-            &order,
-            1,
-            &mut assigned,
-            &mut dist_maps,
-            &mut ev,
-            &mut count,
-        )?;
-        Ok(count)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn backtrack(
-        &mut self,
-        b: &BasicClTerm,
-        order: &[usize],
-        idx: usize,
-        assigned: &mut Vec<(usize, u32)>,
-        dist_maps: &mut FxHashMap<u32, FxHashMap<u32, u32>>,
-        ev: &mut NaiveEvaluator<'_>,
-        count: &mut i64,
-    ) -> Result<()> {
-        if idx == order.len() {
-            // δ fully checked along the way; test the body.
-            let mut env =
-                Assignment::from_pairs(assigned.iter().map(|&(node, val)| (b.vars[node], val)));
-            self.note_tuple();
-            if ev.check(&b.body, &mut env)? {
-                *count = count
-                    .checked_add(1)
-                    .ok_or(LocalityError::Eval(foc_eval::EvalError::Overflow))?;
-            }
-            return Ok(());
-        }
-        let node = order[idx];
-        // `BasicClTerm::new` validated the bound via `checked_delta_bound`.
-        let bound =
-            u32::try_from(b.delta_bound()).unwrap_or_else(|_| unreachable!("delta bound fits u32"));
-        // Candidates: preferably from a positive guard atom of the body
-        // that mentions this variable together with an assigned one
-        // (a relational-index lookup); otherwise from the δ-ball of an
-        // assigned G-neighbour (BFS order guarantees one exists). Values
-        // outside the guard atom's rows falsify the body, and values
-        // outside the ball falsify δ, so both candidate sets are sound.
-        let atom_cands = if self.use_atom_candidates {
-            self.atom_candidates(b, node, assigned)
-        } else {
-            None
-        };
-        let candidates: Vec<u32> = match atom_cands {
-            Some(c) => c,
-            None => {
-                let anchor = assigned
-                    .iter()
-                    .find(|&&(m, _)| b.graph.edge(node, m))
-                    .map(|&(_, val)| val)
-                    .unwrap_or_else(|| unreachable!("BFS order guarantees an assigned neighbour"));
-                dist_maps
-                    .get(&anchor)
-                    .unwrap_or_else(|| unreachable!("anchor map materialised"))
-                    .keys()
-                    .copied()
-                    .collect()
-            }
-        };
-        'cand: for cand in candidates {
-            self.guard.check(Phase::BallEnum)?;
-            // Check the δ-constraints against every assigned node.
-            for &(m, val) in assigned.iter() {
-                let close = dist_maps
-                    .get(&val)
-                    .unwrap_or_else(|| unreachable!("assigned maps materialised"))
-                    .contains_key(&cand);
-                if close != b.graph.edge(node, m) {
-                    continue 'cand;
-                }
-            }
-            // A candidate's own distance map is only needed when deeper
-            // tuple positions will check δ-constraints against it.
-            if idx + 1 < order.len() && !dist_maps.contains_key(&cand) {
-                let map = self
-                    .a
-                    .gaifman()
-                    .distances_from(cand, bound, &mut self.scratch);
-                self.note_ball(map.len() as u64);
-                dist_maps.insert(cand, map);
-            }
-            assigned.push((node, cand));
-            self.backtrack(b, order, idx + 1, assigned, dist_maps, ev, count)?;
-            assigned.pop();
-        }
-        Ok(())
-    }
-
-    /// The *support* of `y₁`: if the body has a positive atom conjunct
-    /// containing `y₁`, only elements occurring at those atom positions
-    /// can have a non-zero count. `None` means "no restriction".
-    fn support(&self, b: &BasicClTerm) -> Option<Vec<u32>> {
-        fn find(
-            f: &foc_logic::Formula,
-            var: foc_logic::Var,
-            s: &Structure,
-            best: &mut Option<Vec<u32>>,
-        ) {
-            match f {
-                foc_logic::Formula::And(parts) => {
-                    parts.iter().for_each(|p| find(p, var, s, best));
-                }
-                foc_logic::Formula::Exists(z, g) if *z != var => find(g, var, s, best),
-                foc_logic::Formula::Atom(at) if at.args.contains(&var) => {
-                    let Some(rel) = s.relation(at.rel) else {
-                        return;
-                    };
-                    let positions: Vec<usize> = at
-                        .args
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| **v == var)
-                        .map(|(i, _)| i)
-                        .collect();
-                    let mut vals: Vec<u32> = Vec::with_capacity(rel.len());
-                    'rows: for row in rel.rows() {
-                        // All positions of `var` must agree within a row.
-                        let first = row[positions[0]];
-                        for &p in &positions[1..] {
-                            if row[p] != first {
-                                continue 'rows;
-                            }
-                        }
-                        vals.push(first);
-                    }
-                    vals.sort_unstable();
-                    vals.dedup();
-                    match best {
-                        Some(cur) if cur.len() <= vals.len() => {}
-                        _ => *best = Some(vals),
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut best = None;
-        find(&b.body, b.vars[0], self.a, &mut best);
-        best
-    }
-
-    /// Candidate values for tuple position `node` from a positive guard
-    /// atom of the body mentioning it together with an assigned
-    /// variable — a relational-index lookup instead of a ball scan.
-    fn atom_candidates(
-        &self,
-        b: &BasicClTerm,
-        node: usize,
-        assigned: &[(usize, u32)],
-    ) -> Option<Vec<u32>> {
-        let var = b.vars[node];
-        let env: FxHashMap<foc_logic::Var, u32> =
-            assigned.iter().map(|&(m, val)| (b.vars[m], val)).collect();
-        let mut shadowed: Vec<foc_logic::Var> = Vec::new();
-        let mut best: Option<Vec<u32>> = None;
-        collect_atom_candidates(&b.body, var, &env, self.a, &mut shadowed, &mut best);
-        best
     }
 
     /// `u^A[a]` for all elements at once: [`LocalEvaluator::eval_basic_for`]
@@ -479,7 +312,7 @@ impl<'a> LocalEvaluator<'a> {
             )
         });
         let support = if self.use_support {
-            self.support(b)
+            kernel::support(b, self.a)
         } else {
             None
         };
@@ -489,45 +322,47 @@ impl<'a> LocalEvaluator<'a> {
             (None, Some(demand)) => demand.to_vec(),
             (None, None) => self.a.universe().collect(),
         };
+        let plan = BallPlan::new(b, self.a, self.preds, self.use_atom_candidates);
+        let (guard, fault) = (&self.guard, self.fault_panic_element);
         let threads = foc_parallel::resolve_threads(self.threads).min(elems.len().max(1));
         if threads <= 1 {
             // Catch panics here too, so `threads = 1` gives the same
             // structured fault as the parallel path.
-            for (i, a) in elems.into_iter().enumerate() {
-                let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.eval_basic_at(b, a)
-                }))
-                .map_err(|p| LocalityError::WorkerPanicked {
-                    payload: foc_parallel::panic_message(p.as_ref()),
-                    item_index: i,
-                })??;
-                out[a as usize] = v;
-            }
-            return Ok(out);
+            let mut tally = Tally::new(self.obs.as_ref());
+            let r = with_scratch(|scratch| {
+                for (i, &a) in elems.iter().enumerate() {
+                    out[a as usize] =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            count_element(&plan, scratch, guard, fault, &mut tally, a)
+                        }))
+                        .map_err(|p| {
+                            LocalityError::WorkerPanicked {
+                                payload: foc_parallel::panic_message(p.as_ref()),
+                                item_index: i,
+                            }
+                        })??;
+                }
+                Ok(())
+            });
+            self.stats.absorb(tally.stats);
+            return r.map(|()| out);
         }
         // Elements are independent, so fan out with per-worker state
-        // (each worker gets its own scratch and counters); values are
-        // written back under their element id and the counters summed,
-        // making the result and the stats independent of scheduling.
-        // Workers inherit the observer clone, so registry counters and
-        // the ball-size histogram see their events live. A panicking
-        // worker is contained: the fan-out drains, every thread joins,
-        // and the panic surfaces as `WorkerPanicked`.
-        let (a, preds) = (self.a, self.preds);
-        let (cands, supp) = (self.use_atom_candidates, self.use_support);
-        let obs = self.obs.clone();
-        let meter = self.obs.as_ref().map(|o| o.meter.clone());
-        let guard = self.guard.clone();
-        let fault = self.fault_panic_element;
+        // (each worker thread keeps its own kernel scratch, each element
+        // its own counters); values are written back under their element
+        // id and the counters summed, making the result and the stats
+        // independent of scheduling. Registry counters and the ball-size
+        // histogram see the workers' events live. A panicking worker is
+        // contained: the fan-out drains, every thread joins, and the
+        // panic surfaces as `WorkerPanicked`.
+        let obs = self.obs.as_ref();
+        let meter = obs.map(|o| o.meter.clone());
         let results = foc_parallel::par_map_isolated(&elems, threads, meter.as_ref(), |_, &e| {
-            let mut worker = LocalEvaluator::new(a, preds);
-            worker.use_atom_candidates = cands;
-            worker.use_support = supp;
-            worker.obs = obs.clone();
-            worker.guard = guard.clone();
-            worker.fault_panic_element = fault;
-            let v = worker.eval_basic_at(b, e)?;
-            Ok::<(i64, LocalStats), LocalityError>((v, worker.stats))
+            with_scratch(|scratch| {
+                let mut tally = Tally::new(obs);
+                let v = count_element(&plan, scratch, guard, fault, &mut tally, e)?;
+                Ok::<(i64, LocalStats), LocalityError>((v, tally.stats))
+            })
         })
         .map_err(|fault| match fault {
             foc_parallel::Fault::Error(e) => e,
@@ -535,9 +370,7 @@ impl<'a> LocalEvaluator<'a> {
         })?;
         for (&e, (v, st)) in elems.iter().zip(results) {
             out[e as usize] = v;
-            self.stats.balls += st.balls;
-            self.stats.ball_elements += st.ball_elements;
-            self.stats.tuples_checked += st.tuples_checked;
+            self.stats.absorb(st);
         }
         Ok(out)
     }
@@ -609,93 +442,6 @@ impl<'a> LocalEvaluator<'a> {
     }
 }
 
-/// Walks the body's conjunctive structure (through foreign existential
-/// binders) looking for positive atoms that mention `var` and at least
-/// one bound, unshadowed variable; collects the matching row values.
-fn collect_atom_candidates(
-    f: &foc_logic::Formula,
-    var: foc_logic::Var,
-    env: &FxHashMap<foc_logic::Var, u32>,
-    s: &Structure,
-    shadowed: &mut Vec<foc_logic::Var>,
-    best: &mut Option<Vec<u32>>,
-) {
-    use foc_logic::Formula;
-    let lookup = |v: foc_logic::Var, shadowed: &[foc_logic::Var]| -> Option<u32> {
-        if shadowed.contains(&v) {
-            None
-        } else {
-            env.get(&v).copied()
-        }
-    };
-    match f {
-        Formula::And(parts) => {
-            for p in parts {
-                collect_atom_candidates(p, var, env, s, shadowed, best);
-            }
-        }
-        Formula::Exists(z, g) if *z != var => {
-            shadowed.push(*z);
-            collect_atom_candidates(g, var, env, s, shadowed, best);
-            shadowed.pop();
-        }
-        Formula::Atom(at) if at.args.contains(&var) => {
-            // Require at least one bound companion variable for
-            // selectivity; otherwise the ball candidates are preferable.
-            if !at
-                .args
-                .iter()
-                .any(|v| *v != var && lookup(*v, shadowed).is_some())
-            {
-                return;
-            }
-            let Some(rel) = s.relation(at.rel) else {
-                return;
-            };
-            // Pick any bound companion position to drive an index lookup.
-            let bound_pos = at.args.iter().enumerate().find_map(|(pos, v)| {
-                if *v != var {
-                    lookup(*v, shadowed).map(|val| (pos, val))
-                } else {
-                    None
-                }
-            });
-            let mut vals = Vec::new();
-            let mut scan = |row: &[u32]| {
-                let mut candidate: Option<u32> = None;
-                for (pos, v) in at.args.iter().enumerate() {
-                    if *v == var {
-                        match candidate {
-                            None => candidate = Some(row[pos]),
-                            Some(c) if c == row[pos] => {}
-                            Some(_) => return,
-                        }
-                    } else if let Some(bound) = lookup(*v, shadowed) {
-                        if bound != row[pos] {
-                            return;
-                        }
-                    }
-                }
-                if let Some(c) = candidate {
-                    vals.push(c);
-                }
-            };
-            match bound_pos {
-                Some((0, val)) => rel.rows_with_first(val).for_each(&mut scan),
-                Some((pos, val)) => rel.rows_with_value_at(pos, val).for_each(&mut scan),
-                None => rel.rows().for_each(scan),
-            }
-            vals.sort_unstable();
-            vals.dedup();
-            match best {
-                Some(cur) if cur.len() <= vals.len() => {}
-                _ => *best = Some(vals),
-            }
-        }
-        _ => {}
-    }
-}
-
 /// The common elements of two sorted, duplicate-free lists.
 fn sorted_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
     let (mut i, mut j) = (0, 0);
@@ -718,6 +464,9 @@ fn sorted_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::decompose::{decompose_ground, decompose_unary};
+    use crate::gk::Gk;
+    use crate::kernel::BallPlan;
+    use foc_eval::Assignment;
     use foc_logic::build::*;
     use foc_logic::{Term, Var};
     use foc_structures::gen::{cycle, graph_structure, grid, path, random_tree, star};
@@ -746,11 +495,15 @@ mod tests {
             let term = b.to_term();
             let mut nev = foc_eval::NaiveEvaluator::new(s, &p);
             if b.unary {
+                let got = lev.eval_basic_all(&b).unwrap();
                 for a in s.universe() {
                     let mut env = Assignment::from_pairs([(b.vars[0], a)]);
                     let want = nev.eval_term(&term, &mut env).unwrap();
-                    let got = lev.eval_basic_at(&b, a).unwrap();
-                    assert_eq!(got, want, "local vs naive at {a} for {}", b.body);
+                    assert_eq!(
+                        got[a as usize], want,
+                        "local vs naive at {a} for {}",
+                        b.body
+                    );
                 }
             } else {
                 let want = nev.eval_ground(&term).unwrap();
@@ -773,6 +526,182 @@ mod tests {
             let cl = decompose_ground(body, &[y1, y2]).unwrap();
             for s in structures() {
                 check_local_vs_naive(&cl, &s);
+            }
+        }
+    }
+
+    /// A random quantifier-free body over `vars`: atoms over a binary
+    /// `E`, a unary `P` and a ternary `T`, `=`, `dist ≤ d` with `d` up to
+    /// `max_d`, and constants, under nested `!`, `&` and `|`.
+    fn random_body(
+        rng: &mut StdRng,
+        vars: &[Var],
+        depth: u32,
+        max_d: u32,
+    ) -> StdArc<foc_logic::Formula> {
+        use rand::Rng;
+        fn pick(rng: &mut StdRng, vars: &[Var]) -> Var {
+            vars[rng.gen_range(0..vars.len())]
+        }
+        if depth == 0 || rng.gen_bool(0.3) {
+            return match rng.gen_range(0..6) {
+                0 => atom("E", [pick(rng, vars), pick(rng, vars)]),
+                1 => atom("P", [pick(rng, vars)]),
+                2 => atom("T", [pick(rng, vars), pick(rng, vars), pick(rng, vars)]),
+                3 => eq(pick(rng, vars), pick(rng, vars)),
+                4 => dist_le(pick(rng, vars), pick(rng, vars), rng.gen_range(0..=max_d)),
+                _ => {
+                    if rng.gen_bool(0.5) {
+                        tt()
+                    } else {
+                        ff()
+                    }
+                }
+            };
+        }
+        match rng.gen_range(0..3) {
+            0 => not(random_body(rng, vars, depth - 1, max_d)),
+            1 => and(
+                random_body(rng, vars, depth - 1, max_d),
+                random_body(rng, vars, depth - 1, max_d),
+            ),
+            _ => or(
+                random_body(rng, vars, depth - 1, max_d),
+                random_body(rng, vars, depth - 1, max_d),
+            ),
+        }
+    }
+
+    /// The fixtures plus random degree-3 graphs, each expanded with a
+    /// random unary `P` and a random ternary `T`.
+    fn kernel_fixtures(rng: &mut StdRng) -> Vec<Structure> {
+        use foc_structures::gen::bounded_degree;
+        use foc_structures::RelDecl;
+        use rand::Rng;
+        let mut bases = structures();
+        bases.push(bounded_degree(12, 3, 40, rng));
+        bases.push(bounded_degree(16, 3, 60, rng));
+        bases
+            .into_iter()
+            .map(|s| {
+                let n = s.order();
+                let p = (0..n)
+                    .filter(|_| rng.gen_bool(0.4))
+                    .map(|e| vec![e])
+                    .collect();
+                // Pairs of rows agreeing on their first two columns.
+                let t = (0..n)
+                    .flat_map(|_| {
+                        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        [
+                            vec![a, b, rng.gen_range(0..n)],
+                            vec![a, b, rng.gen_range(0..n)],
+                        ]
+                    })
+                    .collect();
+                s.expand(vec![(RelDecl::new("P", 1), p), (RelDecl::new("T", 3), t)])
+            })
+            .collect()
+    }
+
+    /// The kernel must equal the reference evaluator at every element, at
+    /// one and two threads and under both candidate toggles, whether the
+    /// body compiles or falls back.
+    #[test]
+    fn kernel_matches_naive_on_random_bodies() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(25);
+        let p = Predicates::standard();
+        let fixtures = kernel_fixtures(&mut rng);
+        let all = [v("y1"), v("y2"), v("y3")];
+        let z = v("z");
+        let mut terms = Vec::new();
+        for round in 0..150 {
+            let k = 1 + round % 3;
+            let vars = all[..k].to_vec();
+            let mut g = Gk::empty(k);
+            while !g.is_connected() {
+                let (i, j) = (rng.gen_range(0..k), rng.gen_range(0..k));
+                if i != j {
+                    g.set_edge(i, j, true);
+                }
+            }
+            let radius = rng.gen_range(0..2u64);
+            let max_d = 2 * radius as u32 + 3;
+            let mut body = random_body(&mut rng, &vars, 3, max_d);
+            if rng.gen_bool(0.5) {
+                // A conjoined positive atom makes a guard for candidates.
+                let mut pick = || vars[rng.gen_range(0..k)];
+                let guard = match round % 2 {
+                    0 => atom("E", [pick(), pick()]),
+                    _ => atom("T", [vars[0], pick(), pick()]),
+                };
+                body = and(guard, body);
+            }
+            let b = BasicClTerm::new(vars.clone(), true, g.clone(), radius, body.clone()).unwrap();
+            terms.push((b, true));
+            if k == 3 {
+                // y1 and y3 are non-adjacent on the path, so δ puts them
+                // beyond the layer cap: a bound past the cap must take
+                // the bounded BFS, not read the layer.
+                let path = Gk::from_edges(3, &[(0, 1), (1, 2)]);
+                let d = 2 * radius as u32 + 1 + (1 + round as u32 % 2);
+                let far = dist_le(vars[0], vars[2], d);
+                let b = BasicClTerm::new(vars.clone(), true, path, radius, far).unwrap();
+                terms.push((b, true));
+                // Extending y2 by `T`'s rows leaves y3 free: the rows repeat
+                // y2's candidates, which must be counted once.
+                let triangle = Gk::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
+                let guarded = atom("T", [vars[0], vars[1], vars[2]]);
+                let b = BasicClTerm::new(vars.clone(), true, triangle, radius, guarded).unwrap();
+                terms.push((b, true));
+            }
+            if round % 10 == 0 {
+                // Quantified and predicate bodies take the reference path.
+                let last = vars[k - 1];
+                // Raw conjunctions: the `and` builder folds constants away.
+                let conj = |f| StdArc::new(foc_logic::Formula::And(vec![body.clone(), f]));
+                let quantified = conj(exists(z, atom("E", [last, z])));
+                let b =
+                    BasicClTerm::new(vars.clone(), true, g.clone(), radius, quantified).unwrap();
+                terms.push((b, false));
+                let counted = pred("even", vec![cnt([z], atom("E", [vars[0], z]))]);
+                let b = BasicClTerm {
+                    vars: vars.clone(),
+                    unary: true,
+                    graph: g,
+                    radius,
+                    body_radius: 1,
+                    body: conj(counted),
+                };
+                terms.push((b, false));
+            }
+        }
+        for s in &fixtures {
+            let mut nev = foc_eval::NaiveEvaluator::new(s, &p);
+            for (b, compiles) in &terms {
+                assert_eq!(
+                    BallPlan::new(b, s, &p, true).is_compiled(),
+                    *compiles,
+                    "{}",
+                    b.body
+                );
+                let term = b.to_term();
+                let want: Vec<i64> = s
+                    .universe()
+                    .map(|a| {
+                        let mut env = Assignment::from_pairs([(b.vars[0], a)]);
+                        nev.eval_term(&term, &mut env).unwrap()
+                    })
+                    .collect();
+                for (threads, toggles) in [(1, true), (2, true), (2, false)] {
+                    let mut lev = LocalEvaluator::new(s, &p);
+                    lev.threads = threads;
+                    lev.use_atom_candidates = toggles;
+                    lev.use_support = toggles;
+                    let got = lev.eval_basic_all(b).unwrap();
+                    assert_eq!(got, want, "threads {threads}, body {}", b.body);
+                }
             }
         }
     }

@@ -1,8 +1,6 @@
 //! Undirected graphs in CSR form, BFS utilities, distances, balls, and
 //! connected components — everything Section 2 needs of Gaifman graphs.
 
-use crate::hash::FxHashMap;
-
 /// An undirected graph with vertex set `0..n` in compressed sparse row
 /// form. Adjacency lists are sorted and deduplicated; no self-loops.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,30 +11,97 @@ pub struct Graph {
 
 impl Graph {
     /// Builds a graph from an edge list (pairs are symmetrised, self-loops
-    /// dropped, duplicates removed).
+    /// dropped, duplicates removed). A counting sort places each directed
+    /// pair under its source; only the short adjacency lists are sorted.
     pub fn from_edges(n: u32, edges: &[(u32, u32)]) -> Graph {
-        let mut deg = vec![0u32; n as usize];
-        let mut sym: Vec<(u32, u32)> = Vec::with_capacity(edges.len() * 2);
+        let mut offsets = vec![0u32; n as usize + 1];
         for &(u, v) in edges {
             assert!(u < n && v < n, "edge ({u},{v}) out of range for n={n}");
             if u != v {
-                sym.push((u, v));
-                sym.push((v, u));
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
         }
-        sym.sort_unstable();
-        sym.dedup();
-        for &(u, _) in &sym {
-            deg[u as usize] += 1;
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
+        let mut cursor = offsets.clone();
+        let mut adj = vec![0u32; offsets[n as usize] as usize];
+        for &(u, v) in edges {
+            if u != v {
+                for (a, b) in [(u, v), (v, u)] {
+                    adj[cursor[a as usize] as usize] = b;
+                    cursor[a as usize] += 1;
+                }
+            }
+        }
+        // Sort and deduplicate each list, compacting in place (the write
+        // position never passes the read position).
+        let mut w = 0usize;
+        for v in 0..n as usize {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            adj[lo..hi].sort_unstable();
+            offsets[v] = w as u32;
+            for i in lo..hi {
+                if i == lo || adj[i] != adj[i - 1] {
+                    adj[w] = adj[i];
+                    w += 1;
+                }
+            }
+        }
+        offsets[n as usize] = w as u32;
+        adj.truncate(w);
+        adj.shrink_to_fit();
+        Graph { offsets, adj }
+    }
+
+    /// The graph with some undirected edges inserted or removed, copying
+    /// the untouched adjacency lists wholesale. `changes` lists each
+    /// change in both directions as `(u, v, insert)`, sorted by `(u, v)`
+    /// and unique, with `u ≠ v`; inserting a present or removing an
+    /// absent edge is a no-op.
+    pub fn spliced(&self, changes: &[(u32, u32, bool)]) -> Graph {
+        let n = self.n();
         let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        offsets.push(0u32);
+        let mut adj = Vec::with_capacity(self.adj.len() + changes.len());
+        let mut c = 0;
+        let mut v = 0u32;
+        while v < n {
+            let next = changes.get(c).map_or(n, |ch| ch.0);
+            if next > v {
+                // Vertices v..next are untouched: one copy, shifted offsets.
+                let lo = self.offsets[v as usize];
+                let hi = self.offsets[next as usize];
+                let start = adj.len() as u32;
+                adj.extend_from_slice(&self.adj[lo as usize..hi as usize]);
+                offsets.extend(
+                    self.offsets[v as usize + 1..=next as usize]
+                        .iter()
+                        .map(|&o| o - lo + start),
+                );
+                v = next;
+                continue;
+            }
+            let old = self.neighbors(v);
+            let mut i = 0;
+            while let Some(&(_, w, insert)) = changes.get(c).filter(|ch| ch.0 == v) {
+                while i < old.len() && old[i] < w {
+                    adj.push(old[i]);
+                    i += 1;
+                }
+                if i < old.len() && old[i] == w {
+                    i += 1;
+                }
+                if insert {
+                    adj.push(w);
+                }
+                c += 1;
+            }
+            adj.extend_from_slice(&old[i..]);
+            offsets.push(adj.len() as u32);
+            v += 1;
         }
-        let adj: Vec<u32> = sym.into_iter().map(|(_, v)| v).collect();
         Graph { offsets, adj }
     }
 
@@ -123,61 +188,37 @@ impl Graph {
         }
         scratch.reset(self.n());
         scratch.mark(a);
-        let mut frontier = vec![a];
-        for d in 1..=cap {
-            let mut next = Vec::new();
-            for &u in &frontier {
+        // One queue, level by level, kept in the scratch across calls.
+        let mut queue = std::mem::take(&mut scratch.queue);
+        queue.clear();
+        queue.push(a);
+        let (mut head, mut found) = (0, None);
+        'levels: for d in 1..=cap {
+            let end = queue.len();
+            if head == end {
+                break;
+            }
+            while head < end {
+                let u = queue[head];
+                head += 1;
                 for &w in self.neighbors(u) {
                     if w == b {
-                        return Some(d);
+                        found = Some(d);
+                        break 'levels;
                     }
                     if scratch.mark(w) {
-                        next.push(w);
+                        queue.push(w);
                     }
                 }
             }
-            if next.is_empty() {
-                return None;
-            }
-            frontier = next;
         }
-        None
+        scratch.queue = queue;
+        found
     }
 
     /// `dist(a, b) ≤ d`?
     pub fn dist_le(&self, a: u32, b: u32, d: u32, scratch: &mut BfsScratch) -> bool {
         self.dist_bounded(a, b, d, scratch).is_some()
-    }
-
-    /// BFS distances from `src` up to `cap`, as a map (vertices beyond
-    /// `cap` are absent).
-    pub fn distances_from(
-        &self,
-        src: u32,
-        cap: u32,
-        scratch: &mut BfsScratch,
-    ) -> FxHashMap<u32, u32> {
-        let mut dist: FxHashMap<u32, u32> = FxHashMap::default();
-        scratch.reset(self.n());
-        scratch.mark(src);
-        dist.insert(src, 0);
-        let mut frontier = vec![src];
-        for d in 1..=cap {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &w in self.neighbors(u) {
-                    if scratch.mark(w) {
-                        dist.insert(w, d);
-                        next.push(w);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        dist
     }
 
     /// Connected components; returns `(component_id per vertex, count)`.
@@ -262,11 +303,12 @@ impl Graph {
     }
 }
 
-/// Reusable BFS scratch space (stamped visited marks).
+/// Reusable BFS scratch space (stamped visited marks and a queue).
 #[derive(Debug, Default, Clone)]
 pub struct BfsScratch {
     stamp: u32,
     marks: Vec<u32>,
+    queue: Vec<u32>,
 }
 
 impl BfsScratch {
@@ -298,6 +340,71 @@ impl BfsScratch {
     }
 }
 
+/// Bounded BFS distances from one source, in epoch-stamped dense arrays
+/// (the [`BfsScratch`] trick): refilling costs the size of the new ball,
+/// not `n`, and a distance lookup is two array reads. The ball itself is
+/// kept in BFS order, source first.
+#[derive(Debug, Default, Clone)]
+pub struct DistLayer {
+    epoch: u32,
+    stamp: Vec<u32>,
+    dist: Vec<u32>,
+    ball: Vec<u32>,
+}
+
+impl DistLayer {
+    /// Creates an empty layer (lazily sized on first fill).
+    pub fn new() -> DistLayer {
+        DistLayer::default()
+    }
+
+    /// Replaces the layer's contents with the distances from `src`, up to
+    /// and including `cap`.
+    pub fn fill(&mut self, g: &Graph, src: u32, cap: u32) {
+        let n = g.n() as usize;
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.dist.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.epoch = 1;
+        }
+        self.ball.clear();
+        self.stamp[src as usize] = self.epoch;
+        self.dist[src as usize] = 0;
+        self.ball.push(src);
+        // The ball doubles as the BFS queue.
+        let mut head = 0;
+        while head < self.ball.len() {
+            let u = self.ball[head];
+            head += 1;
+            let du = self.dist[u as usize];
+            if du >= cap {
+                continue;
+            }
+            for &w in g.neighbors(u) {
+                if self.stamp[w as usize] != self.epoch {
+                    self.stamp[w as usize] = self.epoch;
+                    self.dist[w as usize] = du + 1;
+                    self.ball.push(w);
+                }
+            }
+        }
+    }
+
+    /// `Some(dist(src, v))` if it is at most the cap of the last fill.
+    pub fn get(&self, v: u32) -> Option<u32> {
+        (self.stamp.get(v as usize) == Some(&self.epoch)).then(|| self.dist[v as usize])
+    }
+
+    /// The ball of the last fill, in BFS order (source first).
+    pub fn ball(&self) -> &[u32] {
+        &self.ball
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,6 +423,51 @@ mod tests {
         assert!(g.has_edge(2, 1));
         assert!(!g.has_edge(0, 3));
         assert_eq!(g.degree(3), 0);
+    }
+
+    #[test]
+    fn counting_sort_matches_a_sorted_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..20 {
+            let n = rng.gen_range(1..30u32);
+            let edges: Vec<(u32, u32)> = (0..rng.gen_range(0..80))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let g = Graph::from_edges(n, &edges);
+            for v in 0..n {
+                let mut want: Vec<u32> = edges
+                    .iter()
+                    .filter(|(a, b)| a != b)
+                    .filter_map(|&(a, b)| (a == v).then_some(b).or((b == v).then_some(a)))
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(g.neighbors(v), want.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn splicing_matches_a_rebuild() {
+        let g = path_graph(6);
+        // Drop {1,2} and {4,5}, add {0,5} and {2,4}; re-adding {0,1} is a no-op.
+        let mut changes = vec![];
+        for (u, v, insert) in [
+            (1, 2, false),
+            (4, 5, false),
+            (0, 5, true),
+            (2, 4, true),
+            (0, 1, true),
+        ] {
+            changes.push((u, v, insert));
+            changes.push((v, u, insert));
+        }
+        changes.sort_unstable();
+        let want = Graph::from_edges(6, &[(0, 1), (2, 3), (3, 4), (0, 5), (2, 4)]);
+        assert_eq!(g.spliced(&changes), want);
+        assert_eq!(g.spliced(&[]), g);
     }
 
     #[test]
@@ -359,11 +511,16 @@ mod tests {
     #[test]
     fn distances_from_cap() {
         let g = path_graph(10);
-        let mut s = BfsScratch::new();
-        let d = g.distances_from(0, 3, &mut s);
-        assert_eq!(d.len(), 4);
-        assert_eq!(d.get(&3), Some(&3));
-        assert_eq!(d.get(&4), None);
+        let mut layer = DistLayer::new();
+        layer.fill(&g, 0, 3);
+        assert_eq!(layer.ball(), &[0, 1, 2, 3]);
+        assert_eq!(layer.get(3), Some(3));
+        assert_eq!(layer.get(4), None);
+        // Refilling forgets the previous source's distances.
+        layer.fill(&g, 9, 1);
+        assert_eq!(layer.ball(), &[9, 8]);
+        assert_eq!(layer.get(3), None);
+        assert_eq!(layer.get(8), Some(1));
     }
 
     #[test]

@@ -42,7 +42,10 @@ impl std::error::Error for FormatError {}
 /// Parses a structure from the text format.
 pub fn parse_structure(input: &str) -> Result<Structure, FormatError> {
     let mut b = StructureBuilder::new();
-    let mut declared: Vec<(String, usize)> = Vec::new();
+    // Declared names with their builder index and arity, so tuple lines
+    // resolve without interning the name again.
+    let mut declared: Vec<(&str, usize, usize)> = Vec::new();
+    let mut tuple: Vec<u32> = Vec::new();
     for (i, raw) in input.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -74,20 +77,19 @@ pub fn parse_structure(input: &str) -> Result<Structure, FormatError> {
                 if parts.next().is_some() {
                     return Err(err("trailing tokens after rel declaration".into()));
                 }
-                if declared.iter().any(|(n, _)| n == name) {
+                if declared.iter().any(|&(n, _, _)| n == name) {
                     return Err(err(format!("relation {name} declared twice")));
                 }
-                declared.push((name.to_string(), arity));
-                b.declare(name, arity);
+                declared.push((name, b.declare(name, arity), arity));
             }
             name => {
-                let Some((_, arity)) = declared.iter().find(|(n, _)| n == name) else {
+                let Some(&(_, idx, arity)) = declared.iter().find(|&&(n, _, _)| n == name) else {
                     return Err(err(format!("relation {name} used before declaration")));
                 };
                 // Grow with the actual tokens on the line, not the declared
                 // arity: a hostile header like `rel E 99999999999` must not
                 // translate into an arity-sized allocation.
-                let mut tuple = Vec::new();
+                tuple.clear();
                 for p in parts {
                     let e: u32 = p
                         .parse()
@@ -97,13 +99,14 @@ pub fn parse_structure(input: &str) -> Result<Structure, FormatError> {
                     }
                     tuple.push(e);
                 }
-                if tuple.len() != *arity {
+                if tuple.len() != arity {
                     return Err(err(format!(
                         "relation {name} has arity {arity}, got {} elements",
                         tuple.len()
                     )));
                 }
-                b.try_insert(name, &tuple).map_err(|e| err(e.to_string()))?;
+                b.try_insert_at(idx, &tuple)
+                    .map_err(|e| err(e.to_string()))?;
             }
         }
     }
@@ -188,5 +191,19 @@ universe 4
         let s = parse_structure("\n# only comments\nuniverse 3\n# done\n").unwrap();
         assert_eq!(s.order(), 3);
         assert!(s.signature().is_empty());
+    }
+
+    #[test]
+    fn flat_rows_sort_dedup_and_keep_nullary_presence() {
+        let text = "rel T 3\nrel On 0\nrel Off 0\nT 2 0 1\nT 0 5 1\nT 2 0 1\nOn\nOn\n";
+        let s = parse_structure(text).unwrap();
+        assert_eq!(s.order(), 6);
+        let t = s.relation(Symbol::new("T")).unwrap();
+        let rows: Vec<&[u32]> = t.rows().collect();
+        assert_eq!(rows, [&[0, 5, 1][..], &[2, 0, 1][..]]);
+        assert!(s.holds(Symbol::new("On"), &[]));
+        assert!(!s.holds(Symbol::new("Off"), &[]));
+        let again = parse_structure(&write_structure(&s)).unwrap();
+        assert_eq!(again.fingerprint(), s.fingerprint());
     }
 }

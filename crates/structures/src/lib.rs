@@ -30,7 +30,7 @@ pub mod signature;
 pub mod structure;
 
 pub use delta::{CommitInfo, DeltaStructure, TupleOp};
-pub use graph::{BfsScratch, Graph};
+pub use graph::{BfsScratch, DistLayer, Graph};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use signature::{RelDecl, Signature};
 pub use structure::{InducedSubstructure, MutationError, Relation, Structure, StructureBuilder};

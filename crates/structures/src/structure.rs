@@ -582,7 +582,11 @@ impl std::error::Error for MutationError {}
 #[derive(Debug, Default)]
 pub struct StructureBuilder {
     decls: Vec<RelDecl>,
-    rows: Vec<Vec<Vec<u32>>>,
+    /// Per relation, its inserted rows back to back.
+    data: Vec<Vec<u32>>,
+    /// Per relation, whether anything was inserted (the only content an
+    /// arity-0 relation has).
+    inserted: Vec<bool>,
     index: FxHashMap<Symbol, usize>,
     n: u32,
 }
@@ -599,7 +603,8 @@ impl StructureBuilder {
         assert!(!self.index.contains_key(&sym), "duplicate relation {name}");
         let idx = self.decls.len();
         self.decls.push(RelDecl { name: sym, arity });
-        self.rows.push(Vec::new());
+        self.data.push(Vec::new());
+        self.inserted.push(false);
         self.index.insert(sym, idx);
         idx
     }
@@ -645,14 +650,31 @@ impl StructureBuilder {
         for &e in tuple {
             self.ensure_universe(e + 1);
         }
-        self.rows[idx].push(tuple.to_vec());
+        self.data[idx].extend_from_slice(tuple);
+        self.inserted[idx] = true;
         Ok(())
     }
 
     /// Finalises the structure (sorts, dedups, validates).
     pub fn finish(self) -> Structure {
-        let sig = Signature::new(self.decls);
-        Structure::new(sig, self.n.max(1), self.rows)
+        let rels = self
+            .decls
+            .iter()
+            .zip(self.data)
+            .zip(self.inserted)
+            .map(|((decl, data), inserted)| {
+                Arc::new(match decl.arity {
+                    0 => Relation::from_rows(0, if inserted { vec![vec![]] } else { vec![] }),
+                    arity => {
+                        let mut rows: Vec<&[u32]> = data.chunks_exact(arity).collect();
+                        rows.sort_unstable();
+                        rows.dedup();
+                        Relation::from_sorted_data(arity, rows.concat())
+                    }
+                })
+            })
+            .collect();
+        Structure::from_parts(Signature::new(self.decls), self.n.max(1), rels, 0, None)
     }
 }
 

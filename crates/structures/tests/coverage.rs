@@ -4,7 +4,7 @@
 
 use foc_logic::Symbol;
 use foc_structures::gen::*;
-use foc_structures::graph::{BfsScratch, Graph};
+use foc_structures::graph::{BfsScratch, DistLayer, Graph};
 use foc_structures::io::{parse_structure, write_structure};
 use foc_structures::{RelDecl, Signature, Structure, StructureBuilder};
 use rand::rngs::StdRng;
@@ -42,12 +42,13 @@ fn bfs_distances_match_floyd_warshall() {
         let g = s.gaifman();
         let reference = apsp(g);
         let mut scratch = BfsScratch::new();
+        let mut dists = DistLayer::new();
         for a in 0..n {
-            let dists = g.distances_from(a, n, &mut scratch);
+            dists.fill(g, a, n);
             for b in 0..n {
                 let want = reference[a as usize][b as usize];
-                match dists.get(&b) {
-                    Some(&d) => assert_eq!(d, want, "({a},{b})"),
+                match dists.get(b) {
+                    Some(d) => assert_eq!(d, want, "({a},{b})"),
                     None => assert!(want > n, "missing finite distance ({a},{b})"),
                 }
                 assert_eq!(
