@@ -8,10 +8,15 @@
 //!    `a` with `X(a) = X` (the paper's `Q` marker) the value `u^{B_X}[a]`
 //!    equals `u^A[a]`, because `N_R(a) ⊆ X`. Only those values are
 //!    computed: every call carries a *demand* (sorted element ids of the
-//!    structure at hand, `None` = all), and cluster `X` is evaluated at
-//!    `Q ∩ demand` renumbered into `B_X`; clusters where that is empty
-//!    are skipped. `B_X` is built from the rows starting inside `X`, in
-//!    time proportional to the cluster;
+//!    structure at hand, `None` = all), and cluster `X` answers for
+//!    `Q ∩ demand`; clusters where that is empty are skipped. Only a
+//!    cluster that goes through removal (step 3) is materialised: `B_X`
+//!    is built from the rows starting inside `X`, in time proportional
+//!    to the cluster, and the demand is renumbered into it. Every other
+//!    cluster — at most `direct_threshold` elements, more than
+//!    `max_removal_cluster`, or the whole structure — gains nothing from
+//!    the restriction, so the assigned elements of all of them are
+//!    answered together on `A` itself (step 4);
 //! 3. inside a cluster, pick Splitter's vertex `d` (hub heuristic),
 //!    perform the removal surgery `B' = B_X *_r d` and rewrite the
 //!    counting term via the Removal Lemma (Lemma 7.9); the rewritten
@@ -22,8 +27,10 @@
 //!    the demand minus `d`, renumbered into `B'`. Ground basics and
 //!    ground components are sums over every element, so they always run
 //!    with no demand;
-//! 4. at the bottom, values are computed by ball enumeration for the
-//!    demanded elements only ([`LocalEvaluator::eval_basic_for`]); if a
+//! 4. at the bottom — depth exhausted, a structure below
+//!    `direct_threshold`, or the batch of step 2 — values are computed
+//!    by ball enumeration for the demanded elements only, in one
+//!    [`LocalEvaluator::eval_basic_for`] call per structure; if a
 //!    rewritten body leaves the separable fragment, the reference
 //!    evaluator provides a correct (slower) fallback, also only at the
 //!    demanded elements.
@@ -34,9 +41,11 @@
 //! ## Parallelism and memoisation
 //!
 //! The clusters of step 2 are *independent*: each produces values only
-//! for its own assigned elements, so the per-cluster loop fans out over
-//! [`CoverConfig::threads`] workers ([`foc_parallel::par_map`]) with
-//! results written back under their element ids — **bit-identical to the
+//! for its own assigned elements. At the outermost structure the batch
+//! of directly answered elements runs on [`CoverConfig::threads`]
+//! workers inside the ball enumeration, and the removal clusters fan out
+//! over as many workers ([`foc_parallel::par_map_isolated`]); both write
+//! results back under their element ids — **bit-identical to the
 //! sequential loop** for every thread count. Only the outermost cover
 //! parallelises; the removal recursion inside a cluster stays sequential
 //! so the worker count is bounded by the configuration, not by the
@@ -48,9 +57,10 @@
 //! Memo keys are (term, structure fingerprint, order) for full vectors,
 //! plus a hash of the sorted local demand for demanded ones. A full
 //! vector answers any demand; a demanded entry answers only its own
-//! demand. Clusters that are equal up to renumbering, and demanded at
-//! the same local positions (interior clusters of a grid), share one
-//! entry.
+//! demand. Every structure the recursion evaluates on — the top-level
+//! one and each surgered `B'` — is memoised once per (term, demand), so
+//! content-equal surgered clusters demanded at the same local positions
+//! share one entry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -332,19 +342,21 @@ impl<'a> CoverEvaluator<'a> {
         }
     }
 
-    /// A ball-enumeration evaluator for a (sub)structure, wired to the
-    /// shared memo cache and the session observer; only the outermost
-    /// structure inherits the configured thread count (recursive calls
-    /// happen *inside* a worker already).
-    fn local_for<'s>(&self, s: &'s Structure, parent: Option<&SpanHandle>) -> LocalEvaluator<'s>
-    where
-        'a: 's,
-    {
+    /// `u^S[a]` at the demanded elements by ball enumeration on `s`
+    /// itself, under the evaluator's guard and observer. It stays off the
+    /// memo: both callers sit inside [`CoverEvaluator::eval_basic_all`],
+    /// which memoises the vector it assembles.
+    fn ball_enum(
+        &self,
+        b: &BasicClTerm,
+        s: &Structure,
+        threads: usize,
+        demand: Option<&[u32]>,
+        parent: Option<&SpanHandle>,
+    ) -> Result<Vec<i64>> {
         let mut lev = LocalEvaluator::new(s, self.preds);
+        lev.threads = threads;
         lev.set_guard(self.guard.clone());
-        if let Some(cache) = &self.cache {
-            lev.set_cache(cache.clone());
-        }
         if let Some(p) = parent {
             lev.set_observer(p.clone());
         }
@@ -353,7 +365,7 @@ impl<'a> CoverEvaluator<'a> {
         if std::ptr::eq(s, self.a) {
             lev.fault_panic_element = self.fault_panic_element;
         }
-        lev
+        lev.eval_basic_for(b, demand)
     }
 
     /// `u^S[a]` for the demanded `a ∈ S` (sorted, unique; `None` means
@@ -404,9 +416,7 @@ impl<'a> CoverEvaluator<'a> {
         let radius = u32::try_from(radius.min(u64::from(u32::MAX / 4))).unwrap_or(u32::MAX / 4);
         if depth == 0 || s.order() <= self.config.direct_threshold {
             self.stats.max_cluster(s.order());
-            let mut lev = self.local_for(s, parent);
-            lev.threads = threads;
-            return lev.eval_basic_for(b, demand);
+            return self.ball_enum(b, s, threads, demand, parent);
         }
         let cover_span = parent.map(|p| {
             p.child(
@@ -438,63 +448,79 @@ impl<'a> CoverEvaluator<'a> {
             }
         };
 
-        // One work item per assigned cluster; each yields (element, value)
-        // pairs for its own elements only, so writing them back in any
-        // order reproduces the sequential result exactly.
-        let eval_one = |idx: usize| -> Result<Vec<(u32, i64)>> {
-            self.eval_one_cluster(b, s, depth, &cover, &assigned, &cover_handle, idx)
-        };
-
-        let idxs: Vec<usize> = (0..cover.clusters.len()).collect();
-        let per_cluster: Result<Vec<Vec<(u32, i64)>>> = if threads <= 1 {
-            // Catch panics here too, so `threads = 1` gives the same
-            // structured fault as the parallel path.
-            let run = || {
-                let mut acc = Vec::with_capacity(idxs.len());
-                for &i in &idxs {
-                    let pairs =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval_one(i)))
-                            .map_err(|p| foc_locality::LocalityError::WorkerPanicked {
-                            payload: foc_parallel::panic_message(p.as_ref()),
-                            item_index: i,
-                        })??;
-                    acc.push(pairs);
-                }
-                Ok(acc)
-            };
-            run()
-        } else {
-            // Compute the removal plan up front so workers find it in the
-            // cache instead of racing to build it.
-            if cover.clusters.iter().zip(&assigned).any(|(c, q)| {
-                !q.is_empty()
-                    && c.len() > self.config.direct_threshold as usize
-                    && c.len() <= self.config.max_removal_cluster as usize
-                    && c.len() < s.order() as usize
-            }) {
-                self.removal_plan(b);
+        // A cluster that needs no removal needs no restriction either:
+        // `N_R(a) ⊆ X(a)` gives `u^{B_X}[a] = u^S[a]` (Lemma 6.1), so the
+        // assigned elements of all such clusters are answered by one
+        // ball enumeration on `S`. Only removal clusters fan out.
+        let mut direct: Vec<u32> = Vec::new();
+        let mut removal: Vec<usize> = Vec::new();
+        for (idx, (cluster, q)) in cover.clusters.iter().zip(&assigned).enumerate() {
+            if q.is_empty() {
+                continue;
             }
-            let meter = self.obs.as_ref().map(|o| &o.meter);
-            foc_parallel::par_map_isolated(&idxs, threads, meter, |_, &i| eval_one(i)).map_err(
-                |fault| match fault {
-                    foc_parallel::Fault::Error(e) => e,
-                    foc_parallel::Fault::Panic(p) => p.into(),
-                },
-            )
-        };
+            self.stats.clusters.fetch_add(1, Ordering::Relaxed);
+            self.stats.max_cluster(cluster.len() as u32);
+            if let Some(o) = &self.obs {
+                o.cluster_size.observe(cluster.len() as u64);
+            }
+            if self.needs_removal(cluster.len() as u32, s.order()) {
+                removal.push(idx);
+            } else {
+                direct.extend_from_slice(q);
+            }
+        }
+        direct.sort_unstable();
+
         // A budget trip inside the per-cluster stage reports wherever the
         // crossing worker happened to be (cover recursion, ball
         // enumeration inside a cluster) — under threads > 1 that micro-
         // phase depends on scheduling. Pin the stage boundary's phase so
         // `Interrupt{reason, phase}` is identical across thread counts.
-        let per_cluster = if top {
-            per_cluster.map_err(pin_stage_interrupt)?
+        let pin = |e| if top { pin_stage_interrupt(e) } else { e };
+
+        // The batch's vector is zero outside its demand; removal clusters
+        // fill in their own elements.
+        let mut out = if direct.is_empty() {
+            vec![0i64; s.order() as usize]
         } else {
-            per_cluster?
+            self.ball_enum(b, s, threads, Some(&direct), cover_handle.as_ref())
+                .map_err(pin)?
         };
 
-        let mut out = vec![0i64; s.order() as usize];
-        for pairs in per_cluster {
+        // One work item per removal cluster; each yields (element, value)
+        // pairs for its own elements only, so writing them back in any
+        // order reproduces the sequential result exactly.
+        let eval_one = |idx: usize| -> Result<Vec<(u32, i64)>> {
+            self.eval_one_cluster(b, s, depth, &cover, &assigned, &cover_handle, idx)
+        };
+        let per_cluster: Result<Vec<_>> =
+            if threads <= 1 {
+                // Catch panics here too, so `threads = 1` gives the same
+                // structured fault as the parallel path.
+                removal
+                    .iter()
+                    .map(|&i| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval_one(i)))
+                            .map_err(|p| foc_locality::LocalityError::WorkerPanicked {
+                                payload: foc_parallel::panic_message(p.as_ref()),
+                                item_index: i,
+                            })?
+                    })
+                    .collect()
+            } else {
+                // Compute the removal plan up front so workers find it in the
+                // cache instead of racing to build it.
+                if !removal.is_empty() {
+                    self.removal_plan(b);
+                }
+                let meter = self.obs.as_ref().map(|o| &o.meter);
+                foc_parallel::par_map_isolated(&removal, threads, meter, |_, &i| eval_one(i))
+                    .map_err(|fault| match fault {
+                        foc_parallel::Fault::Error(e) => e,
+                        foc_parallel::Fault::Panic(p) => p.into(),
+                    })
+            };
+        for pairs in per_cluster.map_err(pin)? {
             for (a, v) in pairs {
                 out[a as usize] = v;
             }
@@ -502,9 +528,20 @@ impl<'a> CoverEvaluator<'a> {
         Ok(out)
     }
 
-    /// One cluster of the per-cluster loop: evaluate the basic cl-term
-    /// for the (demanded) elements assigned to cluster `idx`, recursing
-    /// through the removal machinery on the induced substructure.
+    /// Whether a cluster of `order` elements of a structure of `whole`
+    /// elements goes through removal surgery. Every other cluster is
+    /// answered directly: too small to pay for surgery, too large to be
+    /// locally sparse at this radius, or the whole structure.
+    fn needs_removal(&self, order: u32, whole: u32) -> bool {
+        order > self.config.direct_threshold
+            && order <= self.config.max_removal_cluster
+            && order < whole
+    }
+
+    /// One removal cluster of the per-cluster loop: evaluate the basic
+    /// cl-term for the (demanded) elements assigned to cluster `idx`,
+    /// recursing through the removal machinery on the induced
+    /// substructure.
     #[allow(clippy::too_many_arguments)]
     fn eval_one_cluster(
         &self,
@@ -519,14 +556,6 @@ impl<'a> CoverEvaluator<'a> {
         self.guard.check(Phase::Cover)?;
         let cluster = &cover.clusters[idx];
         let q = &assigned[idx];
-        if q.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.stats.clusters.fetch_add(1, Ordering::Relaxed);
-        self.stats.max_cluster(cluster.len() as u32);
-        if let Some(o) = &self.obs {
-            o.cluster_size.observe(cluster.len() as u64);
-        }
         let cluster_span = cover_handle.as_ref().map(|h| {
             h.child(
                 "cluster",
@@ -534,15 +563,6 @@ impl<'a> CoverEvaluator<'a> {
             )
         });
         let cluster_handle = cluster_span.as_ref().map(|sp| sp.handle());
-        if cluster.len() == s.order() as usize {
-            // Degenerate cover (one cluster spans the structure):
-            // at this radius the structure is not locally sparse, so
-            // the removal recursion cannot win — evaluate the
-            // assigned elements by ball enumeration instead.
-            let mut lev = self.local_for(s, cluster_handle.as_ref());
-            let vals = lev.eval_basic_for(b, Some(q))?;
-            return Ok(q.iter().map(|&a| (a, vals[a as usize])).collect());
-        }
         let ind = s.induced(cluster);
         // The renumbering is monotone, so the local demand stays sorted.
         let local_q: Vec<u32> = q.iter().map(|a| ind.fwd[a]).collect();
@@ -621,8 +641,11 @@ impl<'a> CoverEvaluator<'a> {
         plan
     }
 
-    /// Evaluates `u` on one cluster via splitter-removal recursion, at
-    /// the demanded elements (`None`: all of them).
+    /// Evaluates `u` on one cluster by one splitter removal (then the
+    /// cover recursion on the surgered structure, at `depth - 1`), at the
+    /// demanded elements (`None`: all of them). Clusters that need no
+    /// removal never get here: [`CoverEvaluator::eval_basic_all`]
+    /// answers them in its batch.
     fn eval_cluster(
         &self,
         b: &Arc<BasicClTerm>,
@@ -631,14 +654,11 @@ impl<'a> CoverEvaluator<'a> {
         demand: Option<&[u32]>,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
+        debug_assert!(
+            depth > 0 && cluster.order() > 0,
+            "a removal needs depth and a hub"
+        );
         self.guard.check(Phase::Cover)?;
-        if depth == 0
-            || cluster.order() <= self.config.direct_threshold
-            || cluster.order() > self.config.max_removal_cluster
-        {
-            let mut lev = self.local_for(cluster, parent);
-            return lev.eval_basic_for(b, demand);
-        }
         let plan = self.removal_plan(b);
         // Splitter's move: delete the hub of the cluster (clusters with an
         // assigned element are never empty; default to 0 regardless).
@@ -860,9 +880,12 @@ pub fn max_dist_bound(f: &Formula) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_guard::{Budget, TripReason};
     use foc_locality::decompose::{decompose_ground, decompose_unary};
     use foc_logic::build::*;
-    use foc_structures::gen::{caterpillar, cycle, graph_structure, grid, path, random_tree, star};
+    use foc_structures::gen::{
+        bounded_degree, caterpillar, cycle, graph_structure, grid, path, random_tree, star,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1110,6 +1133,96 @@ mod tests {
                 for max_removal_cluster in [256, 4] {
                     check_demand(&s, cl, dm, max_removal_cluster, &cache);
                 }
+            }
+        }
+    }
+
+    /// The top-level cover radius of a basic term.
+    fn cover_radius(b: &BasicClTerm) -> u32 {
+        u32::try_from(LocalEvaluator::exploration_radius(b)).unwrap()
+    }
+
+    /// The default configuration on order-600 inputs of three classes
+    /// (grid, tree, degree ≤ 3): the top-level covers send some clusters
+    /// through removal and answer the others in the batch, and every
+    /// value equals the local engine's at threads {1, 2}.
+    #[test]
+    fn default_config_matches_local_with_direct_and_removal_clusters() {
+        let mut rng = StdRng::seed_from_u64(600);
+        let p = Predicates::standard();
+        for s in [
+            grid(24, 25),
+            random_tree(600, &mut rng),
+            bounded_degree(600, 3, 1800, &mut rng),
+        ] {
+            let (mut direct, mut removal) = (0usize, 0usize);
+            for cl in demand_terms() {
+                let cev = CoverEvaluator::new(&s, &p);
+                for b in cl.basics() {
+                    for cluster in cover_structure(&s, cover_radius(&b)).clusters {
+                        if cev.needs_removal(cluster.len() as u32, s.order()) {
+                            removal += 1;
+                        } else {
+                            direct += 1;
+                        }
+                    }
+                }
+                let want = LocalEvaluator::new(&s, &p).eval_clterm(&cl).unwrap();
+                for threads in [1usize, 2] {
+                    let mut cev = CoverEvaluator::new(&s, &p);
+                    cev.config.threads = threads;
+                    assert_eq!(
+                        cev.eval_clterm(&cl).unwrap(),
+                        want,
+                        "order {}, threads {threads}",
+                        s.order()
+                    );
+                }
+            }
+            assert!(
+                direct > 0 && removal > 0,
+                "order {}: {direct} direct and {removal} removal clusters",
+                s.order()
+            );
+        }
+    }
+
+    /// A fuel budget that runs out inside the batch of directly answered
+    /// clusters reports the cover stage at every thread count, not the
+    /// ball enumeration it happened to be in.
+    #[test]
+    fn batch_trips_report_the_cover_phase() {
+        let y1 = v("y1");
+        let y2 = v("y2");
+        let cl = decompose_unary(&atom("E", [y1, y2]), &[y1, y2]).unwrap();
+        let b = cl.basics().into_iter().next().unwrap();
+        let s = grid(16, 16);
+        let p = Predicates::standard();
+        // Every cluster of this cover is answered in the batch, so the
+        // checks after cover construction are all the batch's.
+        let cev = CoverEvaluator::new(&s, &p);
+        assert!(cover_structure(&s, cover_radius(&b))
+            .clusters
+            .iter()
+            .all(|c| !cev.needs_removal(c.len() as u32, s.order())));
+        for threads in [1usize, 2] {
+            let run = |fuel: u64| {
+                let guard = Budget::unlimited().with_fuel(fuel).arm();
+                let mut cev = CoverEvaluator::new(&s, &p);
+                cev.config.threads = threads;
+                cev.set_guard(guard.clone());
+                (
+                    cev.eval_basic_all(&b, &s, 1, None, None),
+                    guard.fuel_spent(),
+                )
+            };
+            let (full, spent) = run(u64::MAX);
+            full.unwrap();
+            match run(spent / 2).0 {
+                Err(foc_locality::LocalityError::Eval(foc_eval::EvalError::Interrupted(i))) => {
+                    assert_eq!((i.reason, i.phase), (TripReason::Fuel, Phase::Cover));
+                }
+                other => panic!("threads {threads}: expected a fuel trip, got {other:?}"),
             }
         }
     }

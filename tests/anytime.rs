@@ -38,10 +38,11 @@ fn engine(kind: EngineKind, threads: usize, fuel: u64) -> Evaluator {
 /// deepening driver returns a best-so-far answer with a sound tag.
 #[test]
 fn deadline_tripping_mid_cover_recursion_yields_a_tagged_answer() {
-    // Big enough that the plain cover run (seconds of work) always
-    // trips at 50ms, small enough that the sample pass banks inside
-    // its slice even in a debug build on a loaded machine.
-    let a = grid(32, 32);
+    // Big enough that the plain cover run always trips at 50ms, even
+    // in a release build (≈0.26 s of work on a 2-CPU host), small
+    // enough that the early passes bank inside their slices even in a
+    // debug build on a loaded machine.
+    let a = grid(128, 128);
     let q = far_pairs();
     let deadline = Duration::from_millis(50);
 
