@@ -28,7 +28,8 @@ pub enum Error {
     WorkerPanicked {
         /// Rendered panic payload.
         payload: String,
-        /// Index of the work item whose evaluation panicked.
+        /// Index of the work item whose evaluation panicked (see
+        /// [`foc_locality::LocalityError::WorkerPanicked`]).
         item_index: usize,
     },
 }

@@ -229,6 +229,10 @@ pub struct CoverEvaluator<'a> {
     /// enumeration (see `LocalEvaluator::fault_panic_element`).
     #[doc(hidden)]
     pub fault_panic_element: Option<u32>,
+    /// Unit-test fault injection: panic in the removal fan-out on the
+    /// cluster with this index in its cover.
+    #[cfg(test)]
+    panic_cluster: Option<usize>,
 }
 
 impl<'a> CoverEvaluator<'a> {
@@ -244,6 +248,8 @@ impl<'a> CoverEvaluator<'a> {
             obs: None,
             guard: Guard::unlimited(),
             fault_panic_element: None,
+            #[cfg(test)]
+            panic_cluster: None,
         }
     }
 
@@ -489,37 +495,29 @@ impl<'a> CoverEvaluator<'a> {
 
         // One work item per removal cluster; each yields (element, value)
         // pairs for its own elements only, so writing them back in any
-        // order reproduces the sequential result exactly.
-        let eval_one = |idx: usize| -> Result<Vec<(u32, i64)>> {
+        // order reproduces the sequential result exactly. A panic inside
+        // a cluster is caught at every thread count and reported with the
+        // cluster's index in `cover`.
+        if !removal.is_empty() {
+            // Compute the removal plan up front so workers find it in the
+            // cache instead of racing to build it.
+            self.removal_plan(b);
+        }
+        let meter = self.obs.as_ref().map(|o| &o.meter);
+        let per_cluster = foc_parallel::par_map_isolated(&removal, threads, meter, |_, &idx| {
+            #[cfg(test)]
+            if self.panic_cluster == Some(idx) {
+                panic!("injected cluster fault");
+            }
             self.eval_one_cluster(b, s, depth, &cover, &assigned, &cover_handle, idx)
-        };
-        let per_cluster: Result<Vec<_>> =
-            if threads <= 1 {
-                // Catch panics here too, so `threads = 1` gives the same
-                // structured fault as the parallel path.
-                removal
-                    .iter()
-                    .map(|&i| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval_one(i)))
-                            .map_err(|p| foc_locality::LocalityError::WorkerPanicked {
-                                payload: foc_parallel::panic_message(p.as_ref()),
-                                item_index: i,
-                            })?
-                    })
-                    .collect()
-            } else {
-                // Compute the removal plan up front so workers find it in the
-                // cache instead of racing to build it.
-                if !removal.is_empty() {
-                    self.removal_plan(b);
-                }
-                let meter = self.obs.as_ref().map(|o| &o.meter);
-                foc_parallel::par_map_isolated(&removal, threads, meter, |_, &i| eval_one(i))
-                    .map_err(|fault| match fault {
-                        foc_parallel::Fault::Error(e) => e,
-                        foc_parallel::Fault::Panic(p) => p.into(),
-                    })
-            };
+        })
+        .map_err(|fault| match fault {
+            foc_parallel::Fault::Error(e) => e,
+            foc_parallel::Fault::Panic(p) => foc_locality::LocalityError::WorkerPanicked {
+                payload: p.payload,
+                item_index: removal[p.item_index],
+            },
+        });
         for pairs in per_cluster.map_err(pin)? {
             for (a, v) in pairs {
                 out[a as usize] = v;
@@ -1223,6 +1221,48 @@ mod tests {
                     assert_eq!((i.reason, i.phase), (TripReason::Fuel, Phase::Cover));
                 }
                 other => panic!("threads {threads}: expected a fuel trip, got {other:?}"),
+            }
+        }
+    }
+
+    /// A panic inside a removal cluster surfaces as the same
+    /// `WorkerPanicked` at threads {1, 2}: its `item_index` is the
+    /// cluster's index in the cover, not its place in the fan-out.
+    #[test]
+    fn removal_cluster_panics_report_the_cluster_index() {
+        let s = random_tree(600, &mut StdRng::seed_from_u64(600));
+        let p = Predicates::standard();
+        let probe = CoverEvaluator::new(&s, &p);
+        let (b, idx) = demand_terms()
+            .iter()
+            .flat_map(|cl| cl.basics())
+            .find_map(|b| {
+                let cover = cover_structure(&s, cover_radius(&b));
+                let members = cover.members();
+                let removal: Vec<usize> = (0..cover.clusters.len())
+                    .filter(|&i| {
+                        !members[i].is_empty()
+                            && probe.needs_removal(cover.clusters[i].len() as u32, s.order())
+                    })
+                    .collect();
+                let last = removal.len().checked_sub(1)?;
+                (removal[last] != last).then(|| (b, removal[last]))
+            })
+            .expect("a removal cluster whose cover index differs from its position");
+        for threads in [1usize, 2] {
+            let mut cev = CoverEvaluator::new(&s, &p);
+            cev.config.threads = threads;
+            cev.panic_cluster = Some(idx);
+            match cev.eval_basic_all(&b, &s, cev.config.depth, None, None) {
+                Err(foc_locality::LocalityError::WorkerPanicked {
+                    payload,
+                    item_index,
+                }) => assert_eq!(
+                    (payload.as_str(), item_index),
+                    ("injected cluster fault", idx),
+                    "threads {threads}"
+                ),
+                other => panic!("threads {threads}: expected WorkerPanicked, got {other:?}"),
             }
         }
     }

@@ -46,7 +46,10 @@ pub enum LocalityError {
     WorkerPanicked {
         /// The rendered panic payload.
         payload: String,
-        /// The index of the work item that panicked.
+        /// The index of the work item that panicked: the element's
+        /// position in the enumerated element list for ball
+        /// enumeration, the cluster's index in its cover for the cover
+        /// engine's removal clusters.
         item_index: usize,
     },
 }

@@ -353,7 +353,7 @@ impl<'a> LocalEvaluator<'a> {
         // id and the counters summed, making the result and the stats
         // independent of scheduling. Registry counters and the ball-size
         // histogram see the workers' events live. A panicking worker is
-        // contained: the fan-out drains, every thread joins, and the
+        // contained: the fan-out drains, every worker finishes, and the
         // panic surfaces as `WorkerPanicked`.
         let obs = self.obs.as_ref();
         let meter = obs.map(|o| o.meter.clone());

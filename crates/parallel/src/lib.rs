@@ -17,10 +17,16 @@
 //! one with the smallest index wins, exactly as in a sequential
 //! left-to-right loop.
 //!
-//! The build environment has no crates.io access, so this replaces the
-//! `rayon` dependency the design called for; `std::thread::scope` plus
-//! an atomic cursor covers the engines' coarse-grained needs without a
-//! pool, and keeps the crate dependency-free.
+//! The workers are the calling thread plus helpers from one process-wide
+//! pool of persistent threads. The pool starts empty, grows only when a
+//! fan-out asks for more helpers than it has, and never shrinks. A
+//! fan-out offers its batch loop to `threads − 1` helpers, runs the same
+//! loop itself, then takes back every offer no helper has picked up and
+//! waits only for the helpers that started. So nested and concurrent
+//! fan-outs never wait on a busy helper, and the process's thread count
+//! stays at the callers plus the largest helper count asked for. The
+//! crate stays dependency-free (it replaces the `rayon` dependency the
+//! design called for).
 
 #![warn(missing_docs)]
 
@@ -30,6 +36,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use foc_obs::{names, pow2_buckets, Counter, Gauge, Histogram, Metrics};
+
+mod pool;
 
 /// A panic caught inside a worker closure, reported as data instead of
 /// unwinding through (or aborting) the fan-out.
@@ -155,7 +163,7 @@ where
         Ok(v) => Ok(v),
         Err(Fault::Error(e)) => Err(e),
         // Callers of this entry point did not opt into panic containment;
-        // re-raise the (already joined) worker panic on the caller thread.
+        // re-raise the (already finished) worker panic on the caller thread.
         Err(Fault::Panic(p)) => std::panic::resume_unwind(Box::new(format!(
             "worker panicked on item {}: {}",
             p.item_index, p.payload
@@ -165,7 +173,7 @@ where
 
 /// [`par_map_metered`] with **panic isolation**: a panic inside `f` is
 /// caught on the worker, the remaining items are still evaluated (the
-/// other workers drain cleanly and every thread is joined), and the
+/// other workers drain cleanly and every helper finishes), and the
 /// panic surfaces to the caller as [`Fault::Panic`] carrying the payload
 /// and the item index. When several items fault, the lowest-index fault
 /// wins regardless of thread count.
@@ -218,30 +226,36 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<FaultSlot<R, E>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut claimed: u64 = 0;
-                loop {
-                    let start = cursor.fetch_add(batch, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    claimed += 1;
-                    let end = (start + batch).min(n);
-                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                        // `run` never unwinds, so the slot lock cannot be
-                        // poisoned by a faulting item.
-                        *slots[i].lock().expect("result slot poisoned") = Some(run(i, item));
-                    }
-                }
-                if let Some(m) = meter {
-                    m.batches.add(claimed);
-                    m.batches_per_worker.observe(claimed);
-                }
-            });
+    // One worker's share: claim batches until the cursor runs out. The
+    // caller runs it, and so does every pool helper that picks up one of
+    // the fan-out's tickets.
+    let worker = || {
+        let mut claimed: u64 = 0;
+        loop {
+            let start = cursor.fetch_add(batch, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            claimed += 1;
+            let end = (start + batch).min(n);
+            for (i, item) in items.iter().enumerate().take(end).skip(start) {
+                // `run` never unwinds, so the slot lock cannot be
+                // poisoned by a faulting item.
+                *slots[i].lock().expect("result slot poisoned") = Some(run(i, item));
+            }
         }
-    });
+        if let Some(m) = meter {
+            m.batches.add(claimed);
+            m.batches_per_worker.observe(claimed);
+        }
+    };
+    let taken_back = pool::run(threads - 1, &worker);
+    if let Some(m) = meter {
+        // A helper whose ticket was taken back claimed nothing.
+        for _ in 0..taken_back {
+            m.batches_per_worker.observe(0);
+        }
+    }
 
     let mut out = Vec::with_capacity(n);
     let mut first_err: Option<Fault<E>> = None;
@@ -503,6 +517,90 @@ mod tests {
         assert_eq!(panic_message(s.as_ref()), "owned");
         let other: Box<dyn std::any::Any + Send> = Box::new(42u32);
         assert_eq!(panic_message(other.as_ref()), "non-string panic payload");
+    }
+
+    /// A barrier for two with a 10-s timeout: `arrive` returns whether
+    /// the other party came too.
+    #[derive(Default)]
+    struct Meet(Mutex<usize>, std::sync::Condvar);
+
+    impl Meet {
+        fn arrive(&self) -> bool {
+            let mut here = self.0.lock().expect("meet lock");
+            *here += 1;
+            self.1.notify_all();
+            let timeout = std::time::Duration::from_secs(10);
+            let (here, _) = self
+                .1
+                .wait_timeout_while(here, timeout, |here| *here < 2)
+                .expect("meet lock");
+            *here == 2
+        }
+    }
+
+    /// A two-item fan-out whose items each wait until both have started,
+    /// which needs a pool helper running one item alongside the caller;
+    /// every item reports whether they met. After they meet, `then` runs
+    /// on whichever thread holds the item.
+    fn meet_in_pairs(threads: usize, then: impl Fn() + Sync) -> Result<Vec<bool>, Fault<()>> {
+        let meet = Meet::default();
+        par_map_isolated(&[0u8, 1], threads, None, |_, _| {
+            let met = meet.arrive();
+            then();
+            Ok(met)
+        })
+    }
+
+    #[test]
+    fn concurrent_nested_fan_outs_match_sequential() {
+        let items: Vec<u64> = (0..40).collect();
+        let inner: Vec<u64> = (0..5).collect();
+        let want: Vec<u64> = items
+            .iter()
+            .map(|&x| inner.iter().map(|&y| x * y + 1).sum())
+            .collect();
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                let (items, inner, want) = (items.clone(), inner.clone(), want.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        let got = par_map_ok(&items, 3, |_, &x| {
+                            par_map_ok(&inner, 2, |_, &y| x * y + 1).iter().sum::<u64>()
+                        });
+                        assert_eq!(got, want);
+                    }
+                })
+            })
+            .collect();
+        for c in callers {
+            c.join().expect("caller thread");
+        }
+    }
+
+    #[test]
+    fn helpers_survive_a_panic_on_a_helper() {
+        let caller = std::thread::current().id();
+        let on_helper = || {
+            if std::thread::current().id() != caller {
+                panic!("helper fault");
+            }
+        };
+        match meet_in_pairs(2, on_helper) {
+            Err(Fault::Panic(p)) => assert_eq!(p.payload, "helper fault"),
+            other => panic!("expected the helper's panic, got {other:?}"),
+        }
+        // A job that unwinds outside the per-item catch: the helper's own
+        // catch keeps it alive and still releases the caller.
+        let meet = Meet::default();
+        pool::run(1, &|| {
+            assert!(meet.arrive(), "a helper ran the job");
+            on_helper();
+        });
+        // The next fan-outs still get a helper and stay bit-identical.
+        assert_eq!(meet_in_pairs(2, || ()).unwrap(), vec![true, true]);
+        let items: Vec<u64> = (0..257).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+        assert_eq!(par_map_ok(&items, 2, |_, &x| x * x + 1), want);
     }
 
     #[test]
