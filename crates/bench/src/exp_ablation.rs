@@ -178,10 +178,10 @@ fn ablation_cover_rule(quick: bool) -> Table {
                     class.into(),
                     s.order().to_string(),
                     r.to_string(),
-                    lc.clusters.len().to_string(),
-                    lc.total_weight().to_string(),
-                    tv.clusters.len().to_string(),
-                    tv.total_weight().to_string(),
+                    lc.len().to_string(),
+                    lc.total_weight(g).to_string(),
+                    tv.len().to_string(),
+                    tv.total_weight(g).to_string(),
                 ]);
             }
         }
@@ -189,8 +189,8 @@ fn ablation_cover_rule(quick: bool) -> Table {
     t.note(
         "The least-centre rule (centres of a greedy r-net first) shares one \
          cluster among every element its centre claims, so there are 1.7–6× \
-         fewer clusters than elements — which is what the cover engine pays \
-         for (per-cluster induced substructures, removals, recursion). The \
+         fewer clusters than elements. The cover engine materialises only \
+         the clusters near a hub, but every centre costs it one claim BFS. The \
          price is radius 2r instead of r: on the trees, and on the grid at \
          r = 1, the total weight Σ|X| is up to 1.3× the trivial cover's. At \
          r = 2 on the grid the net's clusters overlap so little that Σ|X| \

@@ -6,7 +6,9 @@ use std::time::Instant;
 
 use foc_covers::cover::cover_structure;
 use foc_covers::splitter::{estimate_game_length, exact_game_value};
-use foc_structures::gen::{bounded_degree, clique, gnm, grid, random_tree};
+use foc_structures::gen::{
+    bounded_degree, caterpillar, clique, gnm, grid, random_tree, star, unranked_tree,
+};
 use foc_structures::Structure;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +51,25 @@ fn cover_classes(quick: bool) -> Vec<(&'static str, Vec<Structure>)> {
                 .map(|&n| gnm(n, 2 * n as usize, &mut rng))
                 .collect(),
         ),
+        // Hub classes: unbounded degree, still nowhere dense (trees).
+        ("star", sizes.iter().map(|&n| star(n)).collect()),
+        (
+            "caterpillar(√n, √n)",
+            sizes
+                .iter()
+                .map(|&n| {
+                    let side = (n as f64).sqrt().round() as u32;
+                    caterpillar(side, side)
+                })
+                .collect(),
+        ),
+        (
+            "unranked tree (spread 0.5)",
+            sizes
+                .iter()
+                .map(|&n| unranked_tree(n, 0.5, &mut rng))
+                .collect(),
+        ),
         // Somewhere dense control (kept small: quadratic size).
         (
             "clique (control)",
@@ -60,6 +81,9 @@ fn cover_classes(quick: bool) -> Vec<(&'static str, Vec<Structure>)> {
 }
 
 /// E6: (r, 2r)-neighbourhood covers — validity, radius, degree, time.
+/// The build time covers what the cover engine pays: the claims and the
+/// clusters built with the cover (those near a hub); the degree and
+/// radius columns materialise every cluster.
 pub fn e6(quick: bool) -> Vec<Table> {
     let mut tables = Vec::new();
     for r in [1u32, 2] {
@@ -72,6 +96,7 @@ pub fn e6(quick: bool) -> Vec<Table> {
                 "class",
                 "n",
                 "clusters",
+                "built with the cover",
                 "max degree",
                 "measured radius",
                 "valid",
@@ -88,8 +113,12 @@ pub fn e6(quick: bool) -> Vec<Table> {
                 t.row(vec![
                     class.into(),
                     s.order().to_string(),
-                    cov.clusters.len().to_string(),
-                    cov.max_degree().to_string(),
+                    cov.len().to_string(),
+                    (0..cov.len())
+                        .filter(|&i| cov.prebuilt(i).is_some())
+                        .count()
+                        .to_string(),
+                    cov.max_degree(g).to_string(),
                     cov.max_radius(g).to_string(),
                     if valid { "✓".into() } else { "✗".into() },
                     fmt_duration(dt),
@@ -98,10 +127,12 @@ pub fn e6(quick: bool) -> Vec<Table> {
         }
         t.note(
             "On the grid and degree ≤ 3 classes the cover degree does not grow \
-             with n; on random trees and G(n, 2n) it grows sublinearly (the \
-             theorem's n^ε, with a visible ε at r = 2 on trees). On the clique \
-             control the single cluster spans everything — the dichotomy the \
-             theory predicts.",
+             with n; on random trees, G(n, 2n) and the unranked trees it grows \
+             sublinearly (the theorem's n^ε, with a visible ε at r = 2 on \
+             trees). The hub walks first, so a star is one cluster. Every spine \
+             vertex of the caterpillar is a hub, so all its clusters are built \
+             with the cover. On the clique control the single cluster spans \
+             everything — the dichotomy the theory predicts.",
         );
         tables.push(t);
     }

@@ -10,8 +10,8 @@
 //! on (on a single-CPU host the sweep measures scheduling overhead, not
 //! speedup — the JSON says so rather than hiding it).
 //!
-//! `seconds` comes from an untraced run. Each cell's `phases_micros`
-//! comes from one extra traced repeat: the self time of every span name
+//! `seconds` is the median of [`REPEATS`] untraced runs. Each cell's
+//! `phases_micros` comes from one extra traced repeat: the self time of every span name
 //! (see [`foc_obs::self_times`]). At threads = 1 they sum to the traced
 //! session's wall time; at more threads the `cluster` spans of different
 //! workers overlap, so the sum can exceed it.
@@ -24,7 +24,7 @@ use std::time::Instant;
 use foc_core::{EngineKind, EngineStats, Evaluator};
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_obs::{self_times, MemorySink, Sink};
-use foc_structures::gen::{bounded_degree, grid, random_tree};
+use foc_structures::gen::{bounded_degree, grid, random_tree, star_chain};
 use foc_structures::Structure;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,6 +34,13 @@ use crate::table::{fmt_duration, Table};
 /// Thread counts swept by E12.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// Untraced runs per cell; the cell's time is their median.
+pub const REPEATS: usize = 5;
+
+/// Stars in the hub workload: more single-hub removal clusters than the
+/// largest thread count.
+const STARS: u32 = 16;
+
 struct Workload {
     label: &'static str,
     structure: Structure,
@@ -42,8 +49,13 @@ struct Workload {
     sentence: Option<std::sync::Arc<foc_logic::Formula>>,
 }
 
+/// The first three workloads have no hub, so their covers answer every
+/// cluster directly; the fourth chains [`STARS`] stars by paths longer
+/// than 4R, so each hub's cluster (and each path cluster that reaches a
+/// hub) goes through removal surgery.
 fn workloads(quick: bool) -> Vec<Workload> {
     let n: u32 = if quick { 2_000 } else { 8_000 };
+    let gap = 24;
     let side = (n as f64).sqrt().round() as u32;
     let mut rng = StdRng::seed_from_u64(12);
     let tree = random_tree(n, &mut rng);
@@ -67,6 +79,12 @@ fn workloads(quick: bool) -> Vec<Workload> {
             structure: deg3,
             term: None,
             sentence: Some(parse_formula("@even(#(x,y). !(dist(x,y) <= 2))").unwrap()),
+        },
+        Workload {
+            label: "star chain: far pairs",
+            structure: star_chain(STARS, n / STARS - gap, gap),
+            term: Some(parse_term("#(x,y). !(dist(x,y) <= 2)").unwrap()),
+            sentence: None,
         },
     ]
 }
@@ -106,11 +124,22 @@ fn evaluate(ev: &Evaluator, w: &Workload) -> (i64, f64, EngineStats) {
     (value, t0.elapsed().as_secs_f64(), session.stats())
 }
 
-fn run_cell(w: &Workload, threads: usize, baseline: Option<&(i64, f64)>) -> (i64, Cell) {
+fn run_cell(
+    w: &Workload,
+    threads: usize,
+    repeats: usize,
+    baseline: Option<&(i64, f64)>,
+) -> (i64, Cell) {
     let builder = Evaluator::builder()
         .kind(EngineKind::Cover)
         .threads(threads);
-    let (value, secs, stats) = evaluate(&builder.clone().build().unwrap(), w);
+    let ev = builder.clone().build().unwrap();
+    let runs: Vec<(i64, f64, EngineStats)> = (0..repeats).map(|_| evaluate(&ev, w)).collect();
+    let (value, _, stats) = runs[0];
+    let mut times: Vec<f64> = runs.iter().map(|r| r.1).collect();
+    times.sort_by(f64::total_cmp);
+    let secs = times[times.len() / 2];
+    let identical = runs.iter().all(|r| r.0 == value) && baseline.is_none_or(|(v, _)| *v == value);
     let mem = MemorySink::shared();
     evaluate(
         &builder.sink(mem.clone() as Arc<dyn Sink>).build().unwrap(),
@@ -122,7 +151,7 @@ fn run_cell(w: &Workload, threads: usize, baseline: Option<&(i64, f64)>) -> (i64
         threads,
         secs,
         speedup: baseline.map_or(1.0, |(_, base)| base / secs.max(1e-12)),
-        identical: baseline.is_none_or(|(v, _)| *v == value),
+        identical,
         clusters: stats.clusters,
         covers_built: stats.covers_built,
         removals: stats.removals,
@@ -148,9 +177,10 @@ fn emit_json(cells: &[Cell], quick: bool) -> String {
     let _ = writeln!(out, "  \"engine\": \"cover\",");
     let _ = writeln!(out, "  \"cpus\": {},", foc_parallel::available_threads());
     let _ = writeln!(out, "  \"quick\": {quick},");
+    let _ = writeln!(out, "  \"repeats\": {REPEATS},");
     let _ = writeln!(
         out,
-        "  \"note\": \"speedup is wall-clock vs threads=1 on this host; with cpus=1 the sweep can only measure scheduling overhead\","
+        "  \"note\": \"seconds is the median of `repeats` untraced runs; speedup is wall-clock vs threads=1 on this host; with cpus=1 the sweep can only measure scheduling overhead\","
     );
     let _ = writeln!(out, "  \"cells\": [");
     for (i, c) in cells.iter().enumerate() {
@@ -202,6 +232,7 @@ pub fn e12(quick: bool) -> Vec<Table> {
             "speedup",
             "identical",
             "clusters",
+            "removals",
             "peak",
             "cache h/m",
         ],
@@ -210,7 +241,7 @@ pub fn e12(quick: bool) -> Vec<Table> {
     for w in workloads(quick) {
         let mut baseline: Option<(i64, f64)> = None;
         for threads in THREADS {
-            let (value, cell) = run_cell(&w, threads, baseline.as_ref());
+            let (value, cell) = run_cell(&w, threads, REPEATS, baseline.as_ref());
             t.row(vec![
                 w.label.into(),
                 cell.order.to_string(),
@@ -223,6 +254,7 @@ pub fn e12(quick: bool) -> Vec<Table> {
                     "✗".into()
                 },
                 cell.clusters.to_string(),
+                cell.removals.to_string(),
                 cell.peak_cluster.to_string(),
                 format!("{}/{}", cell.cache_hits, cell.cache_misses),
             ]);
@@ -242,7 +274,8 @@ pub fn e12(quick: bool) -> Vec<Table> {
         Err(e) => t.note(format!("could not write BENCH_parallel.json: {e}")),
     }
     t.note(format!(
-        "host has {} hardware thread(s); speedups are wall-clock vs threads=1 on this host.",
+        "times are medians of {REPEATS} untraced runs; host has {} hardware thread(s); \
+         speedups are wall-clock vs threads=1 on this host.",
         foc_parallel::available_threads()
     ));
     vec![t]
@@ -291,8 +324,8 @@ mod tests {
             term: Some(parse_term("#(x,y). !(dist(x,y) <= 2)").unwrap()),
             sentence: None,
         };
-        let (v1, c1) = run_cell(&w, 1, None);
-        let (v2, c2) = run_cell(&w, 4, Some(&(v1, c1.secs)));
+        let (v1, c1) = run_cell(&w, 1, 1, None);
+        let (v2, c2) = run_cell(&w, 4, 3, Some(&(v1, c1.secs)));
         assert_eq!(v1, v2);
         assert!(c2.identical);
         assert!(c2.clusters > 0);

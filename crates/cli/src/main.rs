@@ -738,8 +738,8 @@ fn cmd_stats(args: &[String]) -> CliResult {
     println!(
         "({r},{})-cover   = {} clusters, max cover degree {}, max radius {}",
         2 * r,
-        cov.clusters.len(),
-        cov.max_degree(),
+        cov.len(),
+        cov.max_degree(g),
         cov.max_radius(g),
     );
     let mut rng = StdRng::seed_from_u64(1);

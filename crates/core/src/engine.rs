@@ -322,13 +322,6 @@ impl EvaluatorBuilder {
 
     /// Validates the configuration and builds the engine.
     pub fn build(self) -> Result<Evaluator> {
-        if self.config.cover.max_removal_cluster < self.config.cover.direct_threshold {
-            return Err(Error::Config(format!(
-                "max_removal_cluster ({}) below direct_threshold ({}): every cluster \
-                 would both skip the recursion and qualify for it",
-                self.config.cover.max_removal_cluster, self.config.cover.direct_threshold
-            )));
-        }
         if self.config.threads > 4096 {
             return Err(Error::Config(format!(
                 "thread count {} is not plausible hardware parallelism",

@@ -14,7 +14,7 @@ use foc_core::{EngineKind, Evaluator};
 use foc_locality::TermCache;
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_obs::{build_tree, names, self_times, FinishedSpan, MemorySink, Sink};
-use foc_structures::gen::{bounded_degree, grid, random_tree};
+use foc_structures::gen::{bounded_degree, grid, random_tree, star};
 use foc_structures::Structure;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,11 +42,12 @@ fn cover_engine_metrics_and_span_tree() {
     );
 
     // Histogram totals equal their counters: cluster sizes are observed
-    // exactly once per cluster, ball sizes exactly once per ball.
+    // exactly once per removal surgery (a grid has no hub, so none),
+    // ball sizes exactly once per ball.
     let snap = session.observer().metrics().snapshot();
     let cluster_hist = &snap.histograms[names::COVER_CLUSTER_SIZE];
-    assert_eq!(cluster_hist.total, snap.counter(names::COVER_CLUSTERS));
-    assert_eq!(cluster_hist.total, stats.clusters);
+    assert_eq!(cluster_hist.total, snap.counter(names::COVER_REMOVALS));
+    assert_eq!(cluster_hist.total, stats.removals);
     let ball_hist = &snap.histograms[names::LOCAL_BALL_SIZE];
     assert_eq!(ball_hist.total, snap.counter(names::LOCAL_BALLS));
     assert_eq!(snap.counter(names::CACHE_HITS), stats.cache_hits);
@@ -63,6 +64,18 @@ fn cover_engine_metrics_and_span_tree() {
         "cover span must nest under the session root"
     );
     assert!(tree[0].contains("eval"), "eval phase span must be present");
+
+    // A star's hub cluster goes through removal: one histogram
+    // observation per surgery, of the cluster's order.
+    let star = star(200);
+    let mut session = ev.session(&star);
+    session.eval_ground(&term).unwrap();
+    let removals = session.stats().removals;
+    assert!(removals > 0, "the hub cluster is removed");
+    let snap = session.observer().metrics().snapshot();
+    let cluster_hist = &snap.histograms[names::COVER_CLUSTER_SIZE];
+    assert_eq!(cluster_hist.total, snap.counter(names::COVER_REMOVALS));
+    assert_eq!(cluster_hist.total, removals);
 }
 
 #[test]

@@ -9,16 +9,22 @@
 //!    equals `u^A[a]`, because `N_R(a) ⊆ X`. Only those values are
 //!    computed: every call carries a *demand* (sorted element ids of the
 //!    structure at hand, `None` = all), and cluster `X` answers for
-//!    `Q ∩ demand`; clusters where that is empty are skipped. Only a
-//!    cluster that goes through removal (step 3) is materialised: `B_X`
-//!    is built from the rows starting inside `X`, in time proportional
-//!    to the cluster, and the demand is renumbered into it. Every other
-//!    cluster — at most `direct_threshold` elements, more than
-//!    `max_removal_cluster`, or the whole structure — gains nothing from
-//!    the restriction, so the assigned elements of all of them are
-//!    answered together on `A` itself (step 4);
-//! 3. inside a cluster, pick Splitter's vertex `d` (hub heuristic),
-//!    perform the removal surgery `B' = B_X *_r d` and rewrite the
+//!    `Q ∩ demand`; clusters where that is empty are skipped. A cluster
+//!    goes through removal (step 3) iff it has more than
+//!    `direct_threshold` elements and holds at least one and at most
+//!    `depth` *hubs* — elements of Gaifman degree above
+//!    `max(direct_threshold, ⌊√|A|⌋)` — whether or not it is all of
+//!    `A`. Without a hub there is nothing for Splitter to remove; with
+//!    more hubs than `depth` the recursion cannot flatten the cluster.
+//!    Only such a cluster is materialised as `B_X`, built from the rows
+//!    starting inside `X` in time proportional to the cluster, with the
+//!    demand renumbered into it; the cover builds the `N_2R` ball of a
+//!    centre only if a hub lies within `2R` of it. Every other cluster
+//!    gains nothing from the restriction, so the assigned elements of
+//!    all of them are answered together on `A` itself (step 4);
+//! 3. inside a cluster, pick Splitter's vertex `d` (the cluster's
+//!    max-degree element, then a hub), perform the removal surgery
+//!    `B' = B_X *_r d` and rewrite the
 //!    counting term via the Removal Lemma (Lemma 7.9); the rewritten
 //!    counting components are decomposed again (Lemma 6.4 over the σ̃
 //!    signature) and evaluated on the smaller, flatter `B'` — recursing
@@ -35,8 +41,9 @@
 //!    evaluator provides a correct (slower) fallback, also only at the
 //!    demanded elements.
 //!
-//! The recursion terminates because the splitter game on a nowhere dense
-//! class is won in λ(2R) rounds — empirically measured in experiment E9.
+//! The recursion terminates because every removal spends one unit of the
+//! depth budget; the splitter game on a nowhere dense class is won in
+//! λ(2R) rounds — empirically measured in experiment E9.
 //!
 //! ## Parallelism and memoisation
 //!
@@ -77,7 +84,7 @@ use foc_obs::{names, pow2_buckets, Histogram, SpanHandle};
 use foc_parallel::ParMeter;
 use foc_structures::{FxHashMap, Structure};
 
-use crate::cover::{cover_structure, NeighborhoodCover};
+use crate::cover::{cover_structure, hub_degree};
 use crate::removal::{new_id, old_id, remove_element, remove_unary_count, RemovedCount};
 
 /// Rewrites an interrupt's trip site to [`Phase::Cover`], the phase of
@@ -100,28 +107,30 @@ fn pin_stage_interrupt(e: foc_locality::LocalityError) -> foc_locality::Locality
 pub struct CoverStats {
     /// Covers constructed.
     pub covers_built: u64,
-    /// Clusters processed.
+    /// Clusters processed: every cluster with a demanded assigned
+    /// element, materialised or not.
     pub clusters: u64,
     /// Removal surgeries performed.
     pub removals: u64,
     /// Counting components that fell back to the reference evaluator.
     pub naive_fallbacks: u64,
-    /// Order of the largest cluster handed to cluster-local evaluation.
+    /// Order of the largest materialised cluster (one the cover built
+    /// because a hub lies near its centre) or of the largest structure
+    /// evaluated at the bottom of the recursion. Clusters answered in the
+    /// direct batch without being built are not observed.
     pub peak_cluster: u32,
 }
 
 /// Tuning knobs for the cover engine.
 #[derive(Debug, Clone, Copy)]
 pub struct CoverConfig {
-    /// Removal-recursion depth budget (≈ the splitter-game bound λ).
+    /// Removal-recursion depth budget (≈ the splitter-game bound λ); a
+    /// cluster with more hubs than this is answered directly.
     pub depth: u32,
-    /// Structures of order below this are evaluated directly by ball
-    /// enumeration.
+    /// Structures and clusters of at most this order are evaluated
+    /// directly by ball enumeration. A hub of a structure `S` is an
+    /// element of degree above `max(direct_threshold, ⌊√|S|⌋)`.
     pub direct_threshold: u32,
-    /// Clusters larger than this skip the removal recursion (a large
-    /// cluster at exploration radius means the structure is not locally
-    /// sparse there, so the Section 8.2 recursion cannot pay off).
-    pub max_removal_cluster: u32,
     /// Worker threads for the per-cluster loop: `1` is the sequential
     /// loop, `0` means "one per hardware thread".
     pub threads: usize,
@@ -132,17 +141,17 @@ impl Default for CoverConfig {
         CoverConfig {
             depth: 1,
             direct_threshold: 16,
-            max_removal_cluster: 256,
             threads: 1,
         }
     }
 }
 
 /// Observability hooks: the span-tree position this evaluator nests
-/// under, the live cluster-size histogram (observed at the same site as
-/// the `clusters` counter, so histogram totals always equal the counter
-/// totals folded by the engine), and the fan-out meter for the
-/// per-cluster loop. Cloneable so worker threads carry it.
+/// under, the live cluster-size histogram (observed once per removal
+/// surgery, at the same site as the `removals` counter, so histogram
+/// totals always equal the counter totals folded by the engine), and the
+/// fan-out meter for the per-cluster loop. Cloneable so worker threads
+/// carry it.
 #[derive(Debug, Clone)]
 struct CoverObs {
     parent: SpanHandle,
@@ -438,7 +447,7 @@ impl<'a> CoverEvaluator<'a> {
         let cover = cover_structure(s, radius);
         self.stats.covers_built.fetch_add(1, Ordering::Relaxed);
         if let Some(sp) = &cover_span {
-            sp.record("clusters", cover.clusters.len() as i64);
+            sp.record("clusters", cover.len() as i64);
         }
         // The paper's `Q` marker, cut down to the demand: cluster `X`
         // answers for the demanded elements assigned to it, and nothing
@@ -446,7 +455,7 @@ impl<'a> CoverEvaluator<'a> {
         let assigned = match demand {
             None => cover.members(),
             Some(d) => {
-                let mut out = vec![Vec::new(); cover.clusters.len()];
+                let mut out = vec![Vec::new(); cover.len()];
                 for &a in d {
                     out[cover.assign[a as usize] as usize].push(a);
                 }
@@ -457,22 +466,22 @@ impl<'a> CoverEvaluator<'a> {
         // A cluster that needs no removal needs no restriction either:
         // `N_R(a) ⊆ X(a)` gives `u^{B_X}[a] = u^S[a]` (Lemma 6.1), so the
         // assigned elements of all such clusters are answered by one
-        // ball enumeration on `S`. Only removal clusters fan out.
+        // ball enumeration on `S`. Only removal clusters fan out, and
+        // only a cluster with a hub near its centre was built at all.
         let mut direct: Vec<u32> = Vec::new();
-        let mut removal: Vec<usize> = Vec::new();
-        for (idx, (cluster, q)) in cover.clusters.iter().zip(&assigned).enumerate() {
+        let mut removal: Vec<(usize, &[u32])> = Vec::new();
+        for (idx, q) in assigned.iter().enumerate() {
             if q.is_empty() {
                 continue;
             }
             self.stats.clusters.fetch_add(1, Ordering::Relaxed);
-            self.stats.max_cluster(cluster.len() as u32);
-            if let Some(o) = &self.obs {
-                o.cluster_size.observe(cluster.len() as u64);
+            let cluster = cover.prebuilt(idx);
+            if let Some(c) = cluster {
+                self.stats.max_cluster(c.len() as u32);
             }
-            if self.needs_removal(cluster.len() as u32, s.order()) {
-                removal.push(idx);
-            } else {
-                direct.extend_from_slice(q);
+            match cluster {
+                Some(c) if self.needs_removal(s, c, depth) => removal.push((idx, c)),
+                _ => direct.extend_from_slice(q),
             }
         }
         direct.sort_unstable();
@@ -504,20 +513,21 @@ impl<'a> CoverEvaluator<'a> {
             self.removal_plan(b);
         }
         let meter = self.obs.as_ref().map(|o| &o.meter);
-        let per_cluster = foc_parallel::par_map_isolated(&removal, threads, meter, |_, &idx| {
-            #[cfg(test)]
-            if self.panic_cluster == Some(idx) {
-                panic!("injected cluster fault");
-            }
-            self.eval_one_cluster(b, s, depth, &cover, &assigned, &cover_handle, idx)
-        })
-        .map_err(|fault| match fault {
-            foc_parallel::Fault::Error(e) => e,
-            foc_parallel::Fault::Panic(p) => foc_locality::LocalityError::WorkerPanicked {
-                payload: p.payload,
-                item_index: removal[p.item_index],
-            },
-        });
+        let per_cluster =
+            foc_parallel::par_map_isolated(&removal, threads, meter, |_, &(idx, cluster)| {
+                #[cfg(test)]
+                if self.panic_cluster == Some(idx) {
+                    panic!("injected cluster fault");
+                }
+                self.eval_one_cluster(b, s, depth, cluster, &assigned[idx], &cover_handle)
+            })
+            .map_err(|fault| match fault {
+                foc_parallel::Fault::Error(e) => e,
+                foc_parallel::Fault::Panic(p) => foc_locality::LocalityError::WorkerPanicked {
+                    payload: p.payload,
+                    item_index: removal[p.item_index].0,
+                },
+            });
         for pairs in per_cluster.map_err(pin)? {
             for (a, v) in pairs {
                 out[a as usize] = v;
@@ -526,34 +536,36 @@ impl<'a> CoverEvaluator<'a> {
         Ok(out)
     }
 
-    /// Whether a cluster of `order` elements of a structure of `whole`
-    /// elements goes through removal surgery. Every other cluster is
-    /// answered directly: too small to pay for surgery, too large to be
-    /// locally sparse at this radius, or the whole structure.
-    fn needs_removal(&self, order: u32, whole: u32) -> bool {
-        order > self.config.direct_threshold
-            && order <= self.config.max_removal_cluster
-            && order < whole
+    /// Whether a materialised cluster of `s` goes through removal surgery
+    /// at `depth`: it has more than `direct_threshold` elements and holds
+    /// at least one and at most `depth` hubs, elements of degree above
+    /// `max(direct_threshold, ⌊√|S|⌋)`.
+    fn needs_removal(&self, s: &Structure, cluster: &[u32], depth: u32) -> bool {
+        let g = s.gaifman();
+        let threshold = self.config.direct_threshold as usize;
+        let hub = threshold.max(hub_degree(g.n()));
+        let hubs = cluster
+            .iter()
+            .filter(|&&v| g.degree(v) > hub)
+            .take(depth as usize + 1)
+            .count();
+        cluster.len() > threshold && (1..=depth as usize).contains(&hubs)
     }
 
     /// One removal cluster of the per-cluster loop: evaluate the basic
-    /// cl-term for the (demanded) elements assigned to cluster `idx`,
+    /// cl-term for the (demanded) elements `q` assigned to `cluster`,
     /// recursing through the removal machinery on the induced
     /// substructure.
-    #[allow(clippy::too_many_arguments)]
     fn eval_one_cluster(
         &self,
         b: &Arc<BasicClTerm>,
         s: &Structure,
         depth: u32,
-        cover: &NeighborhoodCover,
-        assigned: &[Vec<u32>],
+        cluster: &[u32],
+        q: &[u32],
         cover_handle: &Option<SpanHandle>,
-        idx: usize,
     ) -> Result<Vec<(u32, i64)>> {
         self.guard.check(Phase::Cover)?;
-        let cluster = &cover.clusters[idx];
-        let q = &assigned[idx];
         let cluster_span = cover_handle.as_ref().map(|h| {
             h.child(
                 "cluster",
@@ -676,6 +688,9 @@ impl<'a> CoverEvaluator<'a> {
         let parent = removal_handle.as_ref();
         let bprime = &remove_element(cluster, d, plan.r);
         self.stats.removals.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.cluster_size.observe(u64::from(cluster.order()));
+        }
 
         let x = b.vars[0];
         let mut out = vec![0i64; cluster.order() as usize];
@@ -883,6 +898,7 @@ mod tests {
     use foc_logic::build::*;
     use foc_structures::gen::{
         bounded_degree, caterpillar, cycle, graph_structure, grid, path, random_tree, star,
+        star_chain,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -969,7 +985,8 @@ mod tests {
         let y1 = v("y1");
         let y2 = v("y2");
         let cl = decompose_unary(&atom("E", [y1, y2]), &[y1, y2]).unwrap();
-        let s = grid(6, 6);
+        // The hub makes the one cluster a removal cluster.
+        let s = star(36);
         let p = Predicates::standard();
         let mut cev = CoverEvaluator::new(&s, &p);
         cev.config.direct_threshold = 4;
@@ -1011,18 +1028,24 @@ mod tests {
         assert!(cache.hits() > hits_before, "second run must hit the cache");
     }
 
-    /// A random graph of order 6..22 with an explicit demand mask.
+    /// A random graph of order 6..22 with an explicit demand mask; vertex
+    /// 0 is joined to the next `legs` vertices, so that many cases have a
+    /// star-shaped hub.
     fn arb_case() -> impl proptest::prelude::Strategy<Value = (Structure, Vec<u32>, usize)> {
         use proptest::prelude::Strategy;
         (
             6u32..22,
             proptest::collection::vec((0u32..22, 0u32..22), 4..40),
+            0u32..22,
             proptest::collection::vec(0u32..3, 22..23),
             0usize..4,
         )
-            .prop_map(|(n, edges, mask, ti)| {
-                let edges: Vec<(u32, u32)> =
-                    edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
+            .prop_map(|(n, edges, legs, mask, ti)| {
+                let edges: Vec<(u32, u32)> = edges
+                    .into_iter()
+                    .map(|(a, b)| (a % n, b % n))
+                    .chain((1..=legs.min(n - 1)).map(|l| (0, l)))
+                    .collect();
                 let demand = (0..n).filter(|&a| mask[a as usize] == 0).collect();
                 (graph_structure(n, &edges), demand, ti)
             })
@@ -1054,13 +1077,7 @@ mod tests {
     /// with and without a memo shared across the runs (and across the
     /// demands the caller tries, so entries for one demand must never
     /// answer another).
-    fn check_demand(
-        s: &Structure,
-        cl: &ClTerm,
-        demand: &[u32],
-        max_removal_cluster: u32,
-        cache: &Arc<TermCache>,
-    ) {
+    fn check_demand(s: &Structure, cl: &ClTerm, demand: &[u32], cache: &Arc<TermCache>) {
         let p = Predicates::standard();
         for b in cl.basics() {
             let want = LocalEvaluator::new(s, &p).eval_basic_all(&b).unwrap();
@@ -1071,7 +1088,6 @@ mod tests {
                         cev.config = CoverConfig {
                             depth,
                             direct_threshold: 2,
-                            max_removal_cluster,
                             threads,
                         };
                         if memo {
@@ -1126,11 +1142,7 @@ mod tests {
             let (pair_a, pair_b) = (vec![0, 1], vec![0, 2]);
             let cache = Arc::new(TermCache::default());
             for dm in [&pair_a, &pair_b, &demand, &with_hub, &without_hub, &Vec::new(), &all] {
-                // 256 keeps every cluster in the recursion; 4 sends the
-                // larger clusters straight to ball enumeration.
-                for max_removal_cluster in [256, 4] {
-                    check_demand(&s, cl, dm, max_removal_cluster, &cache);
-                }
+                check_demand(&s, cl, dm, &cache);
             }
         }
     }
@@ -1140,30 +1152,54 @@ mod tests {
         u32::try_from(LocalEvaluator::exploration_radius(b)).unwrap()
     }
 
-    /// The default configuration on order-600 inputs of three classes
-    /// (grid, tree, degree ≤ 3): the top-level covers send some clusters
-    /// through removal and answer the others in the batch, and every
-    /// value equals the local engine's at threads {1, 2}.
+    /// How many clusters of the top-level cover of `b` on `s` the
+    /// evaluator answers directly and how many go through removal.
+    fn cluster_kinds(cev: &CoverEvaluator<'_>, s: &Structure, b: &BasicClTerm) -> (usize, usize) {
+        let cover = cover_structure(s, cover_radius(b));
+        let removal = (0..cover.len())
+            .filter(|&i| {
+                cover
+                    .prebuilt(i)
+                    .is_some_and(|c| cev.needs_removal(s, c, cev.config.depth))
+            })
+            .count();
+        (cover.len() - removal, removal)
+    }
+
+    /// Three stars of 60 leaves whose hubs are 24 apart: no cover
+    /// cluster at the test terms' radii holds two hubs.
+    fn three_stars() -> Structure {
+        star_chain(3, 60, 24)
+    }
+
+    /// The default configuration on order-600 inputs: the hubless classes
+    /// (grid, tree, degree ≤ 3) run no removal, the hub inputs (a star
+    /// and three chained stars) send their hub clusters through removal
+    /// and answer the rest in the batch, and every value equals the
+    /// local engine's at threads {1, 2}.
     #[test]
     fn default_config_matches_local_with_direct_and_removal_clusters() {
         let mut rng = StdRng::seed_from_u64(600);
         let p = Predicates::standard();
-        for s in [
-            grid(24, 25),
-            random_tree(600, &mut rng),
-            bounded_degree(600, 3, 1800, &mut rng),
-        ] {
-            let (mut direct, mut removal) = (0usize, 0usize);
+        let inputs = [
+            (grid(24, 25), false),
+            (random_tree(600, &mut rng), false),
+            (bounded_degree(600, 3, 1800, &mut rng), false),
+            (star(600), true),
+            (three_stars(), true),
+        ];
+        let (mut direct, mut removal) = (0usize, 0usize);
+        for (s, hubs) in inputs {
+            // Radius-0 basics have singleton clusters, so only some basics
+            // of a hub input have a removal cluster.
+            let (mut planned, mut performed) = (0usize, 0u64);
             for cl in demand_terms() {
                 let cev = CoverEvaluator::new(&s, &p);
                 for b in cl.basics() {
-                    for cluster in cover_structure(&s, cover_radius(&b)).clusters {
-                        if cev.needs_removal(cluster.len() as u32, s.order()) {
-                            removal += 1;
-                        } else {
-                            direct += 1;
-                        }
-                    }
+                    let (d, r) = cluster_kinds(&cev, &s, &b);
+                    direct += d;
+                    removal += r;
+                    planned += r;
                 }
                 let want = LocalEvaluator::new(&s, &p).eval_clterm(&cl).unwrap();
                 for threads in [1usize, 2] {
@@ -1175,14 +1211,46 @@ mod tests {
                         "order {}, threads {threads}",
                         s.order()
                     );
+                    performed += cev.stats().removals;
                 }
             }
-            assert!(
-                direct > 0 && removal > 0,
-                "order {}: {direct} direct and {removal} removal clusters",
+            assert_eq!(
+                (planned > 0, performed > 0),
+                (hubs, hubs),
+                "order {}: {planned} removal clusters, {performed} removals",
                 s.order()
             );
         }
+        assert!(
+            direct > 0 && removal > 0,
+            "{direct} direct, {removal} removal"
+        );
+    }
+
+    /// The cases of the demand proptest at its configuration
+    /// (`direct_threshold` 2): a star-shaped input has both cluster kinds,
+    /// and its demanded values match the local engine's.
+    #[test]
+    fn star_shaped_demand_case_has_both_cluster_kinds() {
+        let s = three_stars();
+        let p = Predicates::standard();
+        let mut cev = CoverEvaluator::new(&s, &p);
+        cev.config.direct_threshold = 2;
+        let cache = Arc::new(TermCache::default());
+        let demand: Vec<u32> = s.universe().filter(|a| a % 3 != 1).collect();
+        let (mut direct, mut removal) = (0usize, 0usize);
+        for cl in demand_terms() {
+            for b in cl.basics() {
+                let (d, r) = cluster_kinds(&cev, &s, &b);
+                direct += d;
+                removal += r;
+            }
+            check_demand(&s, &cl, &demand, &cache);
+        }
+        assert!(
+            direct > 0 && removal > 0,
+            "{direct} direct, {removal} removal"
+        );
     }
 
     /// A fuel budget that runs out inside the batch of directly answered
@@ -1199,10 +1267,7 @@ mod tests {
         // Every cluster of this cover is answered in the batch, so the
         // checks after cover construction are all the batch's.
         let cev = CoverEvaluator::new(&s, &p);
-        assert!(cover_structure(&s, cover_radius(&b))
-            .clusters
-            .iter()
-            .all(|c| !cev.needs_removal(c.len() as u32, s.order())));
+        assert_eq!(cluster_kinds(&cev, &s, &b).1, 0);
         for threads in [1usize, 2] {
             let run = |fuel: u64| {
                 let guard = Budget::unlimited().with_fuel(fuel).arm();
@@ -1230,7 +1295,7 @@ mod tests {
     /// cluster's index in the cover, not its place in the fan-out.
     #[test]
     fn removal_cluster_panics_report_the_cluster_index() {
-        let s = random_tree(600, &mut StdRng::seed_from_u64(600));
+        let s = three_stars();
         let p = Predicates::standard();
         let probe = CoverEvaluator::new(&s, &p);
         let (b, idx) = demand_terms()
@@ -1238,11 +1303,11 @@ mod tests {
             .flat_map(|cl| cl.basics())
             .find_map(|b| {
                 let cover = cover_structure(&s, cover_radius(&b));
-                let members = cover.members();
-                let removal: Vec<usize> = (0..cover.clusters.len())
+                let removal: Vec<usize> = (0..cover.len())
                     .filter(|&i| {
-                        !members[i].is_empty()
-                            && probe.needs_removal(cover.clusters[i].len() as u32, s.order())
+                        cover
+                            .prebuilt(i)
+                            .is_some_and(|c| probe.needs_removal(&s, c, probe.config.depth))
                     })
                     .collect();
                 let last = removal.len().checked_sub(1)?;

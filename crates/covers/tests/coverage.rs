@@ -26,11 +26,11 @@ fn covers_on_disconnected_and_single_vertex_graphs() {
         let cov = cover_structure(&s, r);
         assert!(cov.verify(s.gaifman()));
         // Element 4 is isolated: its cluster is {4}.
-        assert_eq!(cov.cluster_of(4), &[4]);
+        assert_eq!(&*cov.cluster_of(s.gaifman(), 4), &[4]);
     }
     let single = graph_structure(1, &[]);
     let cov = cover_structure(&single, 3);
-    assert_eq!(cov.clusters.len(), 1);
+    assert_eq!(cov.len(), 1);
     assert!(cov.verify(single.gaifman()));
 }
 
@@ -41,7 +41,7 @@ fn cover_radius_zero() {
     let s = path(6);
     let cov = build_cover(s.gaifman(), 0);
     assert!(cov.verify(s.gaifman()));
-    assert!(cov.clusters.iter().all(|c| c.len() == 1));
+    assert_eq!(cov.total_weight(s.gaifman()), 6);
 }
 
 #[test]
@@ -161,20 +161,70 @@ fn cover_engine_depth_zero_equals_local() {
     assert_eq!(cev.stats().removals, 0, "depth 0 must not remove");
 }
 
-#[test]
-fn cover_engine_respects_max_removal_cluster() {
+/// `#(y). E(x, y)` as a unary cl-term, and its values by the local
+/// engine on `s`.
+fn degree_term(s: &foc_structures::Structure) -> (foc_locality::ClTerm, foc_locality::ClValue) {
     let x = v("cmx");
     let y = v("cmy");
     let cl = decompose_unary(&atom("E", [x, y]), &[x, y]).unwrap();
-    let s = star(40); // one big cluster around the hub
+    let want = LocalEvaluator::new(s, &Predicates::standard())
+        .eval_clterm(&cl)
+        .unwrap();
+    (cl, want)
+}
+
+#[test]
+fn hubless_inputs_run_no_removal() {
     let p = Predicates::standard();
+    for s in [grid(30, 30), path(400), caterpillar(40, 3)] {
+        let (cl, want) = degree_term(&s);
+        let mut cev = CoverEvaluator::new(&s, &p);
+        cev.config.direct_threshold = 2;
+        assert_eq!(cev.eval_clterm(&cl).unwrap(), want);
+        let stats = cev.stats();
+        assert!(stats.clusters > 0, "order {}", s.order());
+        assert_eq!(stats.removals, 0, "order {}", s.order());
+    }
+}
+
+#[test]
+fn a_star_is_one_removal_on_the_whole_structure() {
+    let s = star(40);
+    let p = Predicates::standard();
+    let (cl, want) = degree_term(&s);
     let mut cev = CoverEvaluator::new(&s, &p);
     cev.config.direct_threshold = 2;
-    cev.config.max_removal_cluster = 8; // clusters exceed this → no removal
-    let got = cev.eval_clterm(&cl).unwrap();
-    assert_eq!(cev.stats().removals, 0);
-    let mut lev = LocalEvaluator::new(&s, &p);
-    assert_eq!(got, lev.eval_clterm(&cl).unwrap());
+    assert_eq!(cev.eval_clterm(&cl).unwrap(), want);
+    let stats = cev.stats();
+    // One cover, one cluster (the whole star), one surgery on it; the
+    // surgered star has no edge left, so it is answered directly.
+    assert_eq!(
+        (stats.covers_built, stats.clusters, stats.removals),
+        (1, 1, 1),
+        "{stats:?}"
+    );
+    assert_eq!(stats.peak_cluster, 40);
+}
+
+#[test]
+fn clusters_with_more_hubs_than_depth_are_answered_directly() {
+    // Two stars of 30 leaves with adjacent hubs: every cluster at the
+    // term's radius holds both hubs.
+    let mut edges: Vec<(u32, u32)> = vec![(0, 1)];
+    edges.extend((2..32).map(|l| (0, l)));
+    edges.extend((32..62).map(|l| (1, l)));
+    let s = graph_structure(62, &edges);
+    let p = Predicates::standard();
+    let (cl, want) = degree_term(&s);
+    // Depth 1 leaves the two-hub cluster to ball enumeration; depth 2
+    // lets the recursion remove both hubs.
+    for (depth, removes) in [(1u32, false), (2, true)] {
+        let mut cev = CoverEvaluator::new(&s, &p);
+        cev.config.direct_threshold = 2;
+        cev.config.depth = depth;
+        assert_eq!(cev.eval_clterm(&cl).unwrap(), want, "depth {depth}");
+        assert_eq!(cev.stats().removals > 0, removes, "depth {depth}");
+    }
 }
 
 #[test]
@@ -192,6 +242,6 @@ fn trivial_cover_members_are_self() {
     let cov = trivial_cover(g, 1);
     for a in 0..5u32 {
         assert_eq!(cov.assign[a as usize], a);
-        assert!(cov.cluster_of(a).contains(&a));
+        assert!(cov.cluster_of(g, a).contains(&a));
     }
 }

@@ -143,7 +143,9 @@ pub struct Variant {
     /// Cover-engine tuning (`threads` is taken from the variant). The
     /// default sends every generated structure (order ≤ 14) straight to
     /// ball enumeration; a lower `direct_threshold` makes the engine
-    /// build covers and run removal surgeries on them.
+    /// build covers, and run removal surgery on the clusters that hold a
+    /// hub (a vertex of degree above `max(direct_threshold, ⌊√n⌋)`):
+    /// generated stars have one.
     pub cover: CoverConfig,
 }
 
@@ -175,8 +177,8 @@ pub const MATRIX_THREADS: usize = 4;
 /// engines appear at threads 1 and [`MATRIX_THREADS`], with the memo
 /// cache exercised both on and off, and both degradation policies.
 /// `cover-t4-deep` lowers the cover engine's direct threshold so that
-/// small generated structures still go through covers and two levels of
-/// the removal recursion.
+/// small generated structures still go through covers, and those with a
+/// hub through two levels of the removal recursion.
 pub fn engine_matrix() -> Vec<Variant> {
     use DegradePolicy::{FallThrough, Strict};
     use EngineKind::{Cover, Local, Naive};
@@ -526,22 +528,58 @@ mod tests {
         }
     }
 
+    fn deep_variant() -> Variant {
+        engine_matrix()
+            .into_iter()
+            .find(|v| v.name == "cover-t4-deep")
+            .expect("deep cover variant in the matrix")
+    }
+
     #[test]
     fn deep_cover_variant_runs_the_removal_recursion() {
         // Generated structures have order ≤ 14, below the default direct
-        // threshold; the deep variant must still build covers and remove.
-        let deep = engine_matrix()
-            .into_iter()
-            .find(|v| v.name == "cover-t4-deep")
-            .expect("deep cover variant in the matrix");
+        // threshold; the deep variant must still build covers, and
+        // remove the hub of a star.
+        let ev = deep_variant().build(None);
         let s = path(12);
-        let ev = deep.build(None);
         let mut session = ev.session(&s);
         let t = parse_term("#(x,y). !(dist(x,y) <= 2)").unwrap();
         assert_eq!(session.eval_ground(&t).unwrap(), 12 * 11 - 2 * (11 + 10));
         let stats = session.stats();
         assert!(stats.covers_built > 0, "{stats:?}");
+        assert_eq!(stats.removals, 0, "a path has no hub: {stats:?}");
+        let s = star(12);
+        let mut session = ev.session(&s);
+        let t = parse_term("#(x,y). (E(x,y) & #(z). E(y,z) = 1)").unwrap();
+        assert_eq!(session.eval_ground(&t).unwrap(), 11);
+        let stats = session.stats();
         assert!(stats.removals > 0, "{stats:?}");
+    }
+
+    /// Over a fixed seeded batch of generated cases, the deep variant
+    /// performs removal surgery: the fuzz sweep keeps exercising it.
+    #[test]
+    fn deep_cover_variant_removes_on_generated_cases() {
+        use rand::SeedableRng;
+        let ev = deep_variant().build(None);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let cfg = crate::gen::GenConfig::default();
+        let (mut removals, mut cases) = (0u64, 0usize);
+        for _ in 0..200 {
+            let case = crate::gen::gen_case(&mut rng, &cfg);
+            let mut session = ev.session(&case.structure);
+            let _ = match &case.query {
+                QueryCase::Sentence(f) => session.check_sentence(f).map(|_| ()),
+                QueryCase::Ground(t) => session.eval_ground(t).map(|_| ()),
+            };
+            let r = session.stats().removals;
+            removals += r;
+            cases += usize::from(r > 0);
+        }
+        assert!(
+            cases >= 5,
+            "{cases} of 200 cases removed ({removals} removals)"
+        );
     }
 
     #[test]

@@ -26,17 +26,20 @@ pub const ENGINE_DEGRADE_NAIVE: &str = "engine.degrade.naive";
 /// cancellation). Counter.
 pub const ENGINE_INTERRUPTED: &str = "engine.interrupted";
 
-/// Cover clusters evaluated. Counter.
+/// Cover clusters evaluated: every cluster with a demanded assigned
+/// element, materialised or not. Counter.
 pub const COVER_CLUSTERS: &str = "cover.clusters";
 /// Neighbourhood covers constructed. Counter.
 pub const COVER_BUILT: &str = "cover.covers_built";
 /// Removal surgeries performed. Counter.
 pub const COVER_REMOVALS: &str = "cover.removals";
-/// Order of the largest cluster handed to cluster-local evaluation.
-/// Gauge (running max).
+/// Order of the largest materialised cluster (one the cover built because
+/// a hub lies near its centre) or bottom-of-recursion structure. Gauge
+/// (running max).
 pub const COVER_PEAK_CLUSTER: &str = "cover.peak_cluster";
-/// Distribution of cluster orders. Histogram; its `total` equals
-/// [`COVER_CLUSTERS`].
+/// Distribution of the orders of the clusters that went through removal
+/// surgery, one observation per surgery. Histogram; its `total` equals
+/// [`COVER_REMOVALS`].
 pub const COVER_CLUSTER_SIZE: &str = "cover.cluster_size";
 
 /// Memo-cache lookups that found a value. Counter.

@@ -123,6 +123,30 @@ pub fn caterpillar(spine: u32, legs: u32) -> Structure {
     graph_structure(next, &edges)
 }
 
+/// `stars` stars of `leaves` leaves each whose hubs are joined in a
+/// chain by paths of `gap` edges: hub `i` is `i · (leaves + gap)`,
+/// followed by its leaves and then the inner vertices of the path to the
+/// next hub. With `gap > 4r` no (r, 2r)-cover cluster holds two hubs.
+pub fn star_chain(stars: u32, leaves: u32, gap: u32) -> Structure {
+    assert!(gap >= 1);
+    let block = leaves + gap;
+    let mut edges = Vec::new();
+    for i in 0..stars {
+        let hub = i * block;
+        edges.extend((1..=leaves).map(|l| (hub, hub + l)));
+        if i + 1 < stars {
+            let inner: Vec<u32> = (hub + leaves + 1..hub + block).collect();
+            let chain: Vec<u32> = std::iter::once(hub)
+                .chain(inner)
+                .chain(std::iter::once(hub + block))
+                .collect();
+            edges.extend(chain.windows(2).map(|w| (w[0], w[1])));
+        }
+    }
+    let n = stars.saturating_sub(1) * block + if stars > 0 { 1 + leaves } else { 0 };
+    graph_structure(n, &edges)
+}
+
 /// A random graph with maximum degree at most `d`: `tries` random pairs
 /// are proposed and kept when both endpoints still have spare degree.
 /// With `tries = c·n` this produces a connected-ish bounded-degree graph,
@@ -232,6 +256,21 @@ mod tests {
         let s = star(6);
         assert_eq!(s.gaifman().degree(0), 5);
         assert_eq!(s.gaifman().degree(3), 1);
+    }
+
+    #[test]
+    fn star_chain_shape() {
+        let s = star_chain(3, 4, 5);
+        let g = s.gaifman();
+        assert_eq!(s.order(), 2 * 9 + 5);
+        assert_eq!(g.num_edges(), 3 * 4 + 2 * 5);
+        assert!(g.is_connected());
+        let mut scratch = crate::BfsScratch::new();
+        for (hub, degree) in [(0, 5), (9, 6), (18, 5)] {
+            assert_eq!(g.degree(hub), degree);
+        }
+        assert_eq!(g.dist_bounded(0, 9, 10, &mut scratch), Some(5));
+        assert_eq!(g.dist_bounded(9, 18, 10, &mut scratch), Some(5));
     }
 
     #[test]

@@ -251,56 +251,6 @@ impl Graph {
     pub fn is_connected(&self) -> bool {
         self.n() == 0 || self.components().1 == 1
     }
-
-    /// A degeneracy-style ordering: repeatedly remove a minimum-degree
-    /// vertex. Returns `order[i] = position of vertex i` (smaller =
-    /// earlier). Used as the cluster-centre order of the neighbourhood
-    /// cover (DESIGN.md §3.4).
-    pub fn degeneracy_positions(&self) -> Vec<u32> {
-        let n = self.n() as usize;
-        let mut deg: Vec<usize> = (0..n as u32).map(|v| self.degree(v)).collect();
-        let maxd = deg.iter().copied().max().unwrap_or(0);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); maxd + 1];
-        for (v, &d) in deg.iter().enumerate() {
-            buckets[d].push(v as u32);
-        }
-        let mut removed = vec![false; n];
-        let mut pos = vec![0u32; n];
-        let mut cur = 0usize;
-        for next_pos in 0..n as u32 {
-            while cur <= maxd && buckets[cur].is_empty() {
-                cur += 1;
-            }
-            // Find the lowest non-empty bucket with a live vertex.
-            let v = loop {
-                while cur <= maxd && buckets[cur].is_empty() {
-                    cur += 1;
-                }
-                debug_assert!(cur <= maxd || n == 0, "ran out of vertices");
-                let cand = buckets[cur].pop().expect("bucket nonempty");
-                if !removed[cand as usize] && deg[cand as usize] == cur {
-                    break cand;
-                }
-                if !removed[cand as usize] {
-                    // Stale entry; re-file under the current degree.
-                    buckets[deg[cand as usize]].push(cand);
-                }
-            };
-            removed[v as usize] = true;
-            pos[v as usize] = next_pos;
-            for &w in self.neighbors(v) {
-                if !removed[w as usize] && deg[w as usize] > 0 {
-                    deg[w as usize] -= 1;
-                    let d = deg[w as usize];
-                    buckets[d].push(w);
-                    if d < cur {
-                        cur = d;
-                    }
-                }
-            }
-        }
-        pos
-    }
 }
 
 /// Reusable BFS scratch space (stamped visited marks and a queue).
@@ -521,19 +471,6 @@ mod tests {
         assert_eq!(layer.ball(), &[9, 8]);
         assert_eq!(layer.get(3), None);
         assert_eq!(layer.get(8), Some(1));
-    }
-
-    #[test]
-    fn degeneracy_order_on_star() {
-        // In a star, leaves (degree 1) are removed before the hub.
-        let edges: Vec<(u32, u32)> = (1..6u32).map(|i| (0, i)).collect();
-        let g = Graph::from_edges(6, &edges);
-        let pos = g.degeneracy_positions();
-        // The hub 0 ends up late: all leaves have smaller positions except
-        // possibly the very last leaf (once all leaves are gone the hub has
-        // degree 0). At least 4 of the 5 leaves precede the hub.
-        let before_hub = (1..6).filter(|&l| pos[l] < pos[0]).count();
-        assert!(before_hub >= 4, "positions: {pos:?}");
     }
 
     #[test]

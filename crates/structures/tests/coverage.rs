@@ -80,23 +80,6 @@ fn balls_are_distance_sublevel_sets() {
 }
 
 #[test]
-fn degeneracy_positions_are_a_permutation() {
-    let mut rng = StdRng::seed_from_u64(9);
-    for s in [
-        grid(5, 5),
-        random_tree(40, &mut rng),
-        clique(12),
-        gnm(30, 60, &mut rng),
-    ] {
-        let pos = s.gaifman().degeneracy_positions();
-        let mut sorted = pos.clone();
-        sorted.sort_unstable();
-        let expected: Vec<u32> = (0..s.order()).collect();
-        assert_eq!(sorted, expected, "not a permutation on order {}", s.order());
-    }
-}
-
-#[test]
 fn gaifman_cache_is_reused_for_unary_expansions() {
     let s = grid(6, 6);
     let g1 = s.gaifman() as *const Graph;

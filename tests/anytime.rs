@@ -11,7 +11,7 @@ use foc_logic::build::{cnt, dist_le, not, v};
 use foc_logic::parse::parse_term;
 use foc_logic::Term;
 use foc_obs::{MemorySink, Sink};
-use foc_structures::gen::grid;
+use foc_structures::gen::{caterpillar, grid};
 use foc_structures::Structure;
 
 /// The locality-heavy counting query the anytime suite leans on: big
@@ -39,10 +39,11 @@ fn engine(kind: EngineKind, threads: usize, fuel: u64) -> Evaluator {
 #[test]
 fn deadline_tripping_mid_cover_recursion_yields_a_tagged_answer() {
     // Big enough that the plain cover run always trips at 50ms, even
-    // in a release build (≈0.26 s of work on a 2-CPU host), small
-    // enough that the early passes bank inside their slices even in a
-    // debug build on a loaded machine.
-    let a = grid(128, 128);
+    // in a release build (≈0.3 s of work on a 2-CPU host: 128 spine
+    // hubs with 127 legs each give radius-2 balls of ~130 elements),
+    // small enough (16,384 elements) that the early passes bank inside
+    // their slices even in a debug build on a loaded machine.
+    let a = caterpillar(128, 127);
     let q = far_pairs();
     let deadline = Duration::from_millis(50);
 
