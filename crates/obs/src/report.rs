@@ -300,14 +300,16 @@ pub fn session_json(engine: &str, snap: &MetricsSnapshot, spans: &[FinishedSpan]
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(engine));
     let _ = writeln!(out, "  \"phases\": {{");
+    // Whole micros by cumulative truncation: each entry is within 1 µs
+    // of its own value, and the entries sum to the truncated total (the
+    // session's `dur_micros` on one thread) instead of falling short by
+    // up to a micro per phase.
+    let mut done_nanos = 0u64;
     for (i, (name, nanos)) in phases.iter().enumerate() {
         let comma = if i + 1 < phases.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    \"{}_micros\": {}{comma}",
-            json_escape(name),
-            nanos / 1_000
-        );
+        let micros = (done_nanos + nanos) / 1_000 - done_nanos / 1_000;
+        done_nanos += nanos;
+        let _ = writeln!(out, "    \"{}_micros\": {micros}{comma}", json_escape(name));
     }
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"counters\": {{");
@@ -436,6 +438,36 @@ mod tests {
         assert!(json.contains("\"cover.clusters\": 3"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// Phases with sub-micro remainders still sum to the session's
+    /// truncated duration: 2.6 + 2.6 + 2.6 µs of self time export as
+    /// 7 µs in total, not 3 × 2.
+    #[test]
+    fn session_json_phases_sum_to_the_session_micros() {
+        let span = |id, parent, name, start_nanos, dur_nanos| FinishedSpan {
+            id,
+            parent,
+            name,
+            start_nanos,
+            dur_nanos,
+            attrs: vec![],
+        };
+        let spans = [
+            span(1, Some(0), "cover", 0, 2_600),
+            span(2, Some(0), "eval", 2_600, 2_600),
+            span(0, None, "session", 0, 7_800),
+        ];
+        let json = session_json("cover", &Metrics::new().snapshot(), &spans);
+        let total: u64 = json
+            .lines()
+            .filter(|l| l.trim_start().starts_with('"') && l.contains("_micros\": "))
+            .map(|l| {
+                let v = l.rsplit(": ").next().unwrap();
+                v.trim_end_matches(',').parse::<u64>().unwrap()
+            })
+            .sum();
+        assert_eq!(total, 7_800 / 1_000);
     }
 
     #[test]
